@@ -142,15 +142,26 @@ def compute_gae(traj: Trajectory, gamma, lam):
     return traj
 
 
+def sample_actions(policy, params, obs, rng, greedy=False):
+    """(actions, chosen log-probs, values) as lists from one forward pass; greedy draws nothing from rng."""
+    logits, values, _ = policy.forward(params.theta, obs)
+    logp = log_softmax(logits)
+    if greedy:
+        actions = logits.argmax(axis=1)
+    else:
+        actions = sample_categorical(np.exp(logp), rng.random(len(logits)))
+    return actions.tolist(), logp[np.arange(len(actions)), actions].tolist(), values.tolist()
+
+
 def collect_rollout(policy: PolicyNetwork, params: FlatParams, levels, horizon, max_episode_steps, rng):
     """Run the softmax policy for `horizon` steps on each level (one env per entry).
 
     Episodes auto-reset; each completed or horizon-cut episode becomes one
     Trajectory. observations[0] is the observation the first action was
-    chosen from (the reset observation), and every stored row is its own
-    array: none aliases the rollout's working observation batch, which is
-    overwritten in place each step. Parameters are read-only. Returns the
-    trajectories in (env index, episode start) order.
+    chosen from (the reset observation), and each trajectory's observations
+    are a fresh array, aliasing neither the working observation batch (written
+    in place each step) nor the envs' read-only observation tables. Parameters
+    are read-only. Returns the trajectories in (env index, episode start) order.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -176,23 +187,21 @@ def collect_rollout(policy: PolicyNetwork, params: FlatParams, levels, horizon, 
         )
 
     for _ in range(horizon):
-        logits, values, _ = policy.forward(params.theta, obs)
-        logp = log_softmax(logits)
-        actions = sample_categorical(np.exp(logp), rng.random(n))
+        actions, log_probs, values = sample_actions(policy, params, obs, rng)
         for i, env in enumerate(envs):
-            a = int(actions[i])
+            a = actions[i]
             o, r, done = env.step(a)
             b = buffers[i]
             b["actions"].append(a)
-            b["log_probs"].append(float(logp[i, a]))
+            b["log_probs"].append(log_probs[i])
             b["rewards"].append(r)
-            b["values"].append(float(values[i]))
+            b["values"].append(values[i])
             b["obs"].append(o.vector())
             if done:
                 finalize(i, terminal=True, bootstrap=0.0)
                 o = env.reset()
                 buffers[i] = dict(obs=[o.vector()], actions=[], log_probs=[], rewards=[], values=[])
-            obs[i] = buffers[i]["obs"][-1]
+            obs[i] = o.vector()
     # bootstrap whatever is still running
     _, tail_values, _ = policy.forward(params.theta, obs)
     for i in range(n):

@@ -7,11 +7,15 @@ out-of-bounds}, plus a one-hot facing direction. Seven discrete actions:
 nothing but still consume a step. The only reward is 1 - T/T_max on
 reaching the goal after T steps; episodes end at the goal or after
 max_episode_steps. Dynamics are fully deterministic.
+
+Observations are read-only rows of a per-level table holding the observation
+of every (cell, facing), built in one vectorised pass and shared by envs on
+equal levels: a step is one row lookup.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,40 +43,66 @@ _EYE_DIRECTIONS = np.eye(NUM_DIRECTIONS)
 
 
 def _view_offsets():
-    """(dx, dy) from the agent to each view cell, row-major, one table per facing.
+    """(facing, view cell, (dx, dy)) offsets from the agent to each view cell, row-major.
 
     View row 0 is furthest ahead, row 4 contains the agent at column 2;
     columns run left to right from the agent's perspective.
     """
-    tables = []
-    for direction in range(NUM_DIRECTIONS):
-        fx, fy = DIR_VECTORS[direction]
-        rx, ry = DIR_VECTORS[(direction + 1) % NUM_DIRECTIONS]
-        offsets = np.empty((VIEW_SIZE * VIEW_SIZE, 2), dtype=np.int64)
-        i = 0
-        for row in range(VIEW_SIZE):
-            forward = (VIEW_SIZE - 1) - row
-            for col in range(VIEW_SIZE):
-                lateral = col - VIEW_SIZE // 2
-                offsets[i] = (forward * fx + lateral * rx, forward * fy + lateral * ry)
-                i += 1
-        tables.append(offsets)
-    return tables
+    forward = np.repeat(np.arange(VIEW_SIZE - 1, -1, -1), VIEW_SIZE)[:, None]
+    lateral = np.tile(np.arange(VIEW_SIZE) - VIEW_SIZE // 2, VIEW_SIZE)[:, None]
+    ahead = np.array(DIR_VECTORS)[:, None, :]
+    return forward * ahead + lateral * np.roll(ahead, -1, axis=0)  # the next facing clockwise points right
 
 
 _VIEW_OFFSETS = _view_offsets()
 
 
-@dataclass(frozen=True)
-class Observation:
-    """image: (5, 5, 4) one-hot cell classes; direction: (4,) one-hot facing."""
+@lru_cache(maxsize=2)
+def observation_table(level):
+    """Read-only (height, width, 4, OBS_DIM) float64 array; [y, x, d] is the observation at (x, y) facing d.
 
-    image: np.ndarray
-    direction: np.ndarray
+    Cached for the two most recent levels: each rollout or evaluation steps the envs of one level.
+    """
+    grid = np.full((level.height + 2 * VIEW_PAD, level.width + 2 * VIEW_PAD), CLASS_OOB, dtype=np.intp)
+    inside = grid[VIEW_PAD:-VIEW_PAD, VIEW_PAD:-VIEW_PAD]
+    inside[:] = CLASS_WALL
+    inside[1:-1, 1:-1] = CLASS_EMPTY
+    if level.walls:
+        wall_x, wall_y = np.array(list(level.walls)).T
+        inside[wall_y, wall_x] = CLASS_WALL
+    gx, gy = level.goal_pos
+    inside[gy, gx] = CLASS_GOAL
+    ys, xs = np.mgrid[VIEW_PAD : VIEW_PAD + level.height, VIEW_PAD : VIEW_PAD + level.width]
+    classes = grid[
+        ys[:, :, None, None] + _VIEW_OFFSETS[:, :, 1],
+        xs[:, :, None, None] + _VIEW_OFFSETS[:, :, 0],
+    ]  # (height, width, facing, view cell)
+    image = _EYE_CLASSES[classes].reshape(level.height, level.width, NUM_DIRECTIONS, OBS_IMAGE_DIM)
+    direction = np.broadcast_to(_EYE_DIRECTIONS, image.shape[:2] + _EYE_DIRECTIONS.shape)
+    table = np.concatenate([image, direction], axis=-1)
+    table.flags.writeable = False
+    return table
+
+
+class Observation:
+    """One read-only observation-table row. image: (5, 5, 4) one-hot cell classes; direction: (4,) one-hot facing."""
+
+    __slots__ = ("_row",)
+
+    def __init__(self, row):
+        self._row = row
+
+    @property
+    def image(self):
+        return self._row[:OBS_IMAGE_DIM].reshape(VIEW_SIZE, VIEW_SIZE, NUM_CELL_CLASSES)
+
+    @property
+    def direction(self):
+        return self._row[OBS_IMAGE_DIM:]
 
     def vector(self):
-        """Flat float64 feature vector of length OBS_DIM (image C-order, then direction)."""
-        return np.concatenate([self.image.ravel(), self.direction])
+        """Flat read-only float64 feature vector of length OBS_DIM (image C-order, then direction)."""
+        return self._row
 
 
 class MazeEnv:
@@ -84,23 +114,12 @@ class MazeEnv:
         level.validate()
         self.level = level
         self.max_episode_steps = max_episode_steps
-        self._grid = self._compile(level)
+        self._table = observation_table(level)
         self.agent_pos = level.agent_pos
         self.agent_dir = level.agent_dir
         self.t = 0
         self.done = False
         self._started = False
-
-    @staticmethod
-    def _compile(level):
-        """Padded cell-class grid; everything outside the level is out-of-bounds."""
-        grid = np.full((level.height + 2 * VIEW_PAD, level.width + 2 * VIEW_PAD), CLASS_OOB, dtype=np.int64)
-        for y in range(level.height):
-            for x in range(level.width):
-                grid[y + VIEW_PAD, x + VIEW_PAD] = CLASS_WALL if level.is_wall(x, y) else CLASS_EMPTY
-        gx, gy = level.goal_pos
-        grid[gy + VIEW_PAD, gx + VIEW_PAD] = CLASS_GOAL
-        return grid
 
     def reset(self):
         self.agent_pos = self.level.agent_pos
@@ -138,9 +157,4 @@ class MazeEnv:
 
     def _observe(self):
         x, y = self.agent_pos
-        offsets = _VIEW_OFFSETS[self.agent_dir]
-        xs = offsets[:, 0] + (x + VIEW_PAD)
-        ys = offsets[:, 1] + (y + VIEW_PAD)
-        classes = self._grid[ys, xs]
-        image = _EYE_CLASSES[classes].reshape(VIEW_SIZE, VIEW_SIZE, NUM_CELL_CLASSES)
-        return Observation(image=image, direction=_EYE_DIRECTIONS[self.agent_dir].copy())
+        return Observation(self._table[y, x, self.agent_dir])

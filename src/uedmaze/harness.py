@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .agent import PolicyNetwork
+from .agent import PolicyNetwork, sample_actions
 from .config import RunConfig, dump_config, parse_config
 from .curriculum import CurriculumState, Predictor, Student, ued_step
 from .dynamics import DynamicsModel
@@ -179,26 +179,22 @@ def run_episodes(policy, params, level, episodes, max_episode_steps, rng, greedy
     """Roll `episodes` independent episodes on one level; returns (solved, returns) arrays."""
     envs = [MazeEnv(level, max_episode_steps) for _ in range(episodes)]
     obs = np.stack([e.reset().vector() for e in envs])
-    active = np.ones(episodes, dtype=bool)
-    returns = np.zeros(episodes)
-    solved = np.zeros(episodes, dtype=bool)
-    while active.any():
-        idx = np.where(active)[0]
-        logits, _, _ = policy.forward(params.theta, obs[idx])
-        if greedy:
-            actions = logits.argmax(axis=1)
-        else:
-            from .agent import log_softmax, sample_categorical
-
-            actions = sample_categorical(np.exp(log_softmax(logits)), rng.random(len(idx)))
-        for j, i in enumerate(idx):
-            o, r, done = envs[i].step(int(actions[j]))
+    live = list(range(episodes))
+    returns = [0.0] * episodes
+    solved = [False] * episodes
+    while live:
+        actions, _, _ = sample_actions(policy, params, obs[live], rng, greedy)
+        still_live = []
+        for i, a in zip(live, actions):
+            o, r, done = envs[i].step(a)
             returns[i] += r
-            obs[i] = o.vector()
             if done:
-                active[i] = False
-                solved[i] = envs[i].agent_pos == envs[i].level.goal_pos
-    return solved, returns
+                solved[i] = envs[i].agent_pos == level.goal_pos
+            else:
+                obs[i] = o.vector()
+                still_live.append(i)
+        live = still_live
+    return np.array(solved), np.array(returns)
 
 
 def evaluate_policy(policy, params, suite, episodes, max_episode_steps, rng, greedy=False):

@@ -14,7 +14,7 @@ from uedmaze.agent import (
     ppo_update,
     sample_categorical,
 )
-from uedmaze.env import NUM_ACTIONS, OBS_DIM, MazeEnv
+from uedmaze.env import NUM_ACTIONS, OBS_DIM, MazeEnv, observation_table
 from uedmaze.levels import Level, generate_random_level
 from uedmaze.nn import FlatParams
 from uedmaze.oracle import check_policy_gradient, naive_gae
@@ -114,6 +114,22 @@ def test_rollout_observations_replay_in_a_fresh_env():
         if steps_in_env == horizon:
             env_index, steps_in_env = env_index + 1, 0
     assert env_index == len(levels)
+
+
+def test_rollout_observations_alias_nothing():
+    # each trajectory owns its observations: no other trajectory and no observation table sees them
+    policy = PolicyNetwork(TINY)
+    params = policy.init_params(np.random.default_rng(3))
+    rng = np.random.default_rng(4)
+    levels = [generate_random_level(7, 7, 6, rng) for _ in range(2)]
+    trajs = collect_rollout(policy, params, [levels[0], levels[1], levels[0]], 40, max_episode_steps=15, rng=rng)
+    tables = [observation_table(level) for level in levels]
+    assert len(trajs) > 3
+    for k, traj in enumerate(trajs):
+        assert traj.observations.flags.writeable
+        assert not any(np.shares_memory(traj.observations, table) for table in tables), k
+        for j in range(k):
+            assert not np.shares_memory(traj.observations, trajs[j].observations), (j, k)
 
 
 def test_rollout_is_deterministic():

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uedmaze.env import (
     ACTION_FORWARD,
     ACTION_LEFT,
     ACTION_RIGHT,
+    CLASS_EMPTY,
     CLASS_GOAL,
     CLASS_OOB,
     CLASS_WALL,
@@ -12,6 +15,7 @@ from uedmaze.env import (
     NUM_ACTIONS,
     OBS_DIM,
     OBS_IMAGE_DIM,
+    observation_table,
 )
 from uedmaze.levels import Level
 
@@ -136,3 +140,95 @@ def test_deterministic_given_actions():
                 break
         results.append(trace)
     assert results[0] == results[1]
+
+
+def test_observations_are_read_only():
+    env = MazeEnv(corridor(goal_x=3), 100)
+    with pytest.raises(ValueError):
+        env.reset().vector()[0] = 1.0
+    obs, _, _ = env.step(ACTION_LEFT)
+    with pytest.raises(ValueError):
+        obs.vector()[0] = 1.0
+    with pytest.raises(ValueError):
+        obs.image[0, 0, 0] = 1.0
+
+
+def test_equal_levels_share_one_table():
+    twin = Level(5, 5, frozenset(), (1, 1), 1, (2, 1))
+    assert twin is not corridor() and observation_table(twin) is observation_table(corridor())
+
+
+# Reference observation, computed cell by cell from the documented rules.
+FORWARD = {0: (0, -1), 1: (1, 0), 2: (0, 1), 3: (-1, 0)}  # up, right, down, left; y grows downward
+
+
+def reference_class(level, x, y):
+    if not (0 <= x < level.width and 0 <= y < level.height):
+        return CLASS_OOB
+    if (x, y) == level.goal_pos:
+        return CLASS_GOAL
+    border = x in (0, level.width - 1) or y in (0, level.height - 1)
+    return CLASS_WALL if border or (x, y) in level.walls else CLASS_EMPTY
+
+
+def reference_observation(level, x, y, facing):
+    """View rows run from 4 cells ahead (row 0) to the agent's row (row 4, agent at column 2);
+    columns run left to right as the agent sees them."""
+    fx, fy = FORWARD[facing]
+    rx, ry = -fy, fx  # the agent's right hand
+    vec = np.zeros(OBS_DIM)
+    for row in range(5):
+        for col in range(5):
+            ahead, right = 4 - row, col - 2
+            cell_class = reference_class(level, x + ahead * fx + right * rx, y + ahead * fy + right * ry)
+            vec[(row * 5 + col) * 4 + cell_class] = 1.0
+    vec[OBS_IMAGE_DIM + facing] = 1.0
+    return vec
+
+
+@st.composite
+def random_levels(draw):
+    width, height = (2 * draw(st.integers(2, 7)) + 1 for _ in range(2))
+    interior = [(x, y) for y in range(1, height - 1) for x in range(1, width - 1)]
+    cells = draw(st.permutations(interior))
+    num_walls = draw(st.integers(0, len(interior) - 2))
+    walls = frozenset(cells[2 : 2 + num_walls])
+    return Level(width, height, walls, cells[0], draw(st.integers(0, 3)), cells[1]).validate()
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(random_levels())
+def test_table_matches_reference_on_every_free_cell_and_facing(level):
+    table = observation_table(level)
+    assert table.shape == (level.height, level.width, 4, OBS_DIM) and table.dtype == np.float64
+    assert not table.flags.writeable
+    for y in range(1, level.height - 1):
+        for x in range(1, level.width - 1):
+            if (x, y) not in level.walls:
+                for facing in range(4):
+                    assert np.array_equal(table[y, x, facing], reference_observation(level, x, y, facing)), (x, y, facing)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(random_levels(), st.lists(st.integers(0, NUM_ACTIONS - 1), min_size=1, max_size=80))
+def test_random_actions_match_reference_stepped_alongside(level, actions):
+    max_steps = 60
+    env = MazeEnv(level, max_steps)
+    (x, y), facing = level.agent_pos, level.agent_dir
+    assert np.array_equal(env.reset().vector(), reference_observation(level, x, y, facing))
+    for t, action in enumerate(actions, start=1):
+        if action == ACTION_LEFT:
+            facing = (facing - 1) % 4
+        elif action == ACTION_RIGHT:
+            facing = (facing + 1) % 4
+        elif action == ACTION_FORWARD:
+            ahead = (x + FORWARD[facing][0], y + FORWARD[facing][1])
+            if reference_class(level, *ahead) in (CLASS_EMPTY, CLASS_GOAL):
+                x, y = ahead
+        at_goal = (x, y) == level.goal_pos
+        obs, reward, done = env.step(action)
+        assert np.array_equal(obs.vector(), reference_observation(level, x, y, facing)), t
+        assert reward == (1.0 - t / max_steps if at_goal else 0.0)
+        assert done == (at_goal or t >= max_steps)
+        if done:
+            break
