@@ -15,7 +15,7 @@ from .errors import ConfigError
 from .harness import emit_report, evaluate_policy, load_checkpoint, load_suite, make_components, run_experiment, save_checkpoint
 from .levels import Level, generate_random_level, load_level, mutate_level, parse_ascii, render_ascii, save_level, shortest_path_length
 from .oracle import verification_report
-from .scoring import RegretScore, approx_regret, average_transition_prediction_loss, max_monte_carlo, positive_value_loss
+from .scoring import RegretScore, approx_regret, average_transition_prediction_loss, positive_value_loss
 
 __version__ = "0.1.0"
 
@@ -54,7 +54,6 @@ __all__ = [
     "load_preset",
     "load_suite",
     "make_components",
-    "max_monte_carlo",
     "mutate_level",
     "parse_ascii",
     "parse_config",

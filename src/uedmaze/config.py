@@ -54,7 +54,6 @@ class RunConfig:
     adam_eps: float = 1e-5
     max_grad_norm: float = 0.5
     value_clipping: bool = True
-    return_normalization: bool = False
     value_loss_coef: float = 0.5
     entropy_coef: float = 0.0
     # teacher
@@ -117,7 +116,6 @@ SECTIONS = {
         "adam_eps",
         "max_grad_norm",
         "value_clipping",
-        "return_normalization",
         "value_loss_coef",
         "entropy_coef",
     ),
@@ -247,8 +245,6 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         fail("num_mutations", f"must be <= batch_size ({cfg.batch_size}), got {cfg.num_mutations}")
     if not (cfg.temperature > 0 or math.isinf(cfg.temperature)):
         fail("temperature", f"must be > 0 or inf, got {cfg.temperature}")
-    if cfg.return_normalization:
-        fail("return_normalization", "return normalization is not supported; set false")
     for key in ("trunk_hidden", "head_hidden", "dynamics_hidden"):
         sizes = getattr(cfg, key)
         if not sizes or any(int(s) < 1 for s in sizes):

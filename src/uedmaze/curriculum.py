@@ -46,7 +46,6 @@ class TaskRecord:
     colearnability: float = 0.0
     last_sampled: int | None = None
     created_at: int = 0
-    best_return: float = 0.0
 
 
 @dataclass
@@ -85,7 +84,7 @@ class LogRow:
     combined: float
     colearnability: float
     priority_prob: float | None
-    shortest_path_len: int | None
+    shortest_path_len: int  # -1 when the goal is unreachable
     num_blocks: int
 
 
@@ -149,6 +148,12 @@ def task_priority_distribution(state: CurriculumState):
     staleness distribution by staleness_coef. temperature=inf bypasses the
     rank transform and samples proportional to the scores themselves (floored
     at zero; uniform when no mass remains).
+
+    A task's staleness is t - last_sampled; a task never sampled counts as
+    the stalest sampled task (1 when no task has been sampled). The staleness
+    distribution is proportional to staleness, and uniform when every
+    staleness is 0. So with staleness_coef rho, a task of staleness s gets
+    at least rho * s / (sum of all staleness).
     """
     n = len(state.buffer)
     if n == 0:
@@ -200,7 +205,7 @@ def sample_replay_batch(state: CurriculumState, rng):
     return records, [float(dist[i]) for i in chosen]
 
 
-def maybe_insert(state: CurriculumState, level, score, metrics, best_return):
+def maybe_insert(state: CurriculumState, level, score, metrics):
     """Insert a freshly scored level; when full, it must beat the minimum priority score.
 
     Returns the new TaskRecord, or None when the candidate was discarded.
@@ -211,17 +216,7 @@ def maybe_insert(state: CurriculumState, level, score, metrics, best_return):
         if score.combined <= scores[weakest]:
             return None
         del state.buffer[weakest]
-    record = TaskRecord(
-        task_id=state.next_task_id,
-        level=level,
-        metrics=metrics,
-        history=[(state.t, score.combined)],
-        colearnability=0.0,
-        last_sampled=state.t,
-        created_at=state.t,
-        best_return=best_return,
-    )
-    state.next_task_id += 1
+    record = _new_record(state, level, metrics, score)
     state.buffer.append(record)
     return record
 
@@ -270,24 +265,49 @@ def _rollout(state, student, level, rng):
     return trajs
 
 
-def _score_wave(state, predictor, trajs, alpha):
-    cfg = state.cfg
-    pvl = positive_value_loss_many(trajs, cfg.gamma, cfg.gae_lambda)
+def _train_student(student, trajs, rng):
+    student.params, _ = ppo_update(student.policy, student.params, trajs, student.ppo, rng)
+    student.updates += 1
+
+
+def _score_and_fit(state, predictor, trajs, alpha):
+    """Score a rollout wave with the current predictor, then take one predictor step on it."""
+    pvl = positive_value_loss_many(trajs)
     atpl = average_transition_prediction_loss_many(trajs, predictor.model, predictor.params.theta)
-    return approx_regret(pvl, atpl, alpha)
-
-
-def _train_predictor(predictor, trajs):
+    score = approx_regret(pvl, atpl, alpha)
     obs, act, nxt = stack_transitions(trajs)
-    predictor.params, stats = train_dynamics(
-        predictor.model, predictor.params, obs, act, nxt, predictor.train_cfg
-    )
+    predictor.params, _ = train_dynamics(predictor.model, predictor.params, obs, act, nxt, predictor.train_cfg)
     predictor.updates += 1
-    return stats
+    return score
 
 
-def _best_return(trajs):
-    return max(t.episode_return for t in trajs)
+def _new_record(state, level, metrics, score):
+    record = TaskRecord(
+        task_id=state.next_task_id,
+        level=level,
+        metrics=metrics,
+        history=[(state.t, score.combined)],
+        last_sampled=state.t,
+        created_at=state.t,
+    )
+    state.next_task_id += 1
+    return record
+
+
+def _row(state, phase, task_id, score, metrics, colearnability=0.0, priority_prob=None):
+    path = metrics.shortest_path_len
+    return LogRow(
+        t=state.t,
+        phase=phase,
+        task_id=task_id,
+        pvl=score.pvl,
+        atpl=score.atpl,
+        combined=score.combined,
+        colearnability=colearnability,
+        priority_prob=priority_prob,
+        shortest_path_len=-1 if path is None else path,
+        num_blocks=metrics.num_blocks,
+    )
 
 
 def ued_step(state: CurriculumState, student: Student, predictor: Predictor, rng):
@@ -300,63 +320,39 @@ def ued_step(state: CurriculumState, student: Student, predictor: Predictor, rng
     """
     cfg = state.cfg
     if state.mode == "dr":
-        return _dr_step(state, student, rng)
-    alpha, _, mutation_enabled = mode_settings(state.mode, state.cfg)
-    replay_ready = len(state.buffer) >= cfg.batch_size
-    want_replay = rng.random() < cfg.replay_rate
-    if not (want_replay and replay_ready):
-        log = _explore_step(state, student, predictor, alpha, rng)
+        log = _dr_step(state, student, rng)
     else:
-        log = _replay_step(state, student, predictor, alpha, mutation_enabled, rng)
+        alpha, _, mutation_enabled = mode_settings(state.mode, cfg)
+        replay_ready = len(state.buffer) >= cfg.batch_size
+        want_replay = rng.random() < cfg.replay_rate
+        if want_replay and replay_ready:
+            log = _replay_step(state, student, predictor, alpha, mutation_enabled, rng)
+        else:
+            log = _explore_step(state, student, predictor, alpha, rng)
     state.t += 1
     return log
 
 
+def _fresh_level(cfg, rng):
+    return generate_random_level(cfg.grid_width, cfg.grid_height, cfg.max_blocks, rng, cfg.min_blocks)
+
+
 def _dr_step(state, student, rng):
-    cfg = state.cfg
-    level = generate_random_level(cfg.grid_width, cfg.grid_height, cfg.max_blocks, rng, cfg.min_blocks)
+    level = _fresh_level(state.cfg, rng)
     trajs = _rollout(state, student, level, rng)
-    student.params, _ = ppo_update(student.policy, student.params, trajs, student.ppo, rng)
-    student.updates += 1
-    pvl = positive_value_loss_many(trajs, cfg.gamma, cfg.gae_lambda)
-    metrics = level_metrics(level)
-    row = LogRow(
-        t=state.t,
-        phase="dr",
-        task_id=-1,
-        pvl=pvl,
-        atpl=0.0,
-        combined=pvl,
-        colearnability=0.0,
-        priority_prob=None,
-        shortest_path_len=metrics.shortest_path_len,
-        num_blocks=metrics.num_blocks,
-    )
-    state.t += 1
-    return StepLog(phase="dr", rows=[row])
+    _train_student(student, trajs, rng)
+    score = approx_regret(positive_value_loss_many(trajs), 0.0, 0.0)
+    return StepLog(phase="dr", rows=[_row(state, "dr", -1, score, level_metrics(level))])
 
 
 def _explore_step(state, student, predictor, alpha, rng):
-    cfg = state.cfg
-    level = generate_random_level(cfg.grid_width, cfg.grid_height, cfg.max_blocks, rng, cfg.min_blocks)
+    level = _fresh_level(state.cfg, rng)
     trajs = _rollout(state, student, level, rng)
-    score = _score_wave(state, predictor, trajs, alpha)
+    score = _score_and_fit(state, predictor, trajs, alpha)
     metrics = level_metrics(level)
-    record = maybe_insert(state, level, score, metrics, _best_return(trajs))
-    _train_predictor(predictor, trajs)
-    row = LogRow(
-        t=state.t,
-        phase="explore",
-        task_id=record.task_id if record else -1,
-        pvl=score.pvl,
-        atpl=score.atpl,
-        combined=score.combined,
-        colearnability=0.0,
-        priority_prob=None,
-        shortest_path_len=metrics.shortest_path_len,
-        num_blocks=metrics.num_blocks,
-    )
-    return StepLog(phase="explore", rows=[row])
+    record = maybe_insert(state, level, score, metrics)
+    task_id = record.task_id if record else -1
+    return StepLog(phase="explore", rows=[_row(state, "explore", task_id, score, metrics)])
 
 
 def _replay_step(state, student, predictor, alpha, mutation_enabled, rng):
@@ -366,60 +362,19 @@ def _replay_step(state, student, predictor, alpha, mutation_enabled, rng):
     posts = {}
     for rec, prob in zip(records, probs):
         trajs = _rollout(state, student, rec.level, rng)
-        student.params, _ = ppo_update(student.policy, student.params, trajs, student.ppo, rng)
-        student.updates += 1
-        score = _score_wave(state, predictor, trajs, alpha)
+        _train_student(student, trajs, rng)
+        score = _score_and_fit(state, predictor, trajs, alpha)
         rec.history.append((state.t, score.combined))
-        rec.best_return = max(rec.best_return, _best_return(trajs))
         posts[rec.task_id] = score.combined
-        _train_predictor(predictor, trajs)
-        rows.append(
-            LogRow(
-                t=state.t,
-                phase="replay",
-                task_id=rec.task_id,
-                pvl=score.pvl,
-                atpl=score.atpl,
-                combined=score.combined,
-                colearnability=rec.colearnability,
-                priority_prob=prob,
-                shortest_path_len=rec.metrics.shortest_path_len,
-                num_blocks=rec.metrics.num_blocks,
-            )
-        )
+        rows.append(_row(state, "replay", rec.task_id, score, rec.metrics, rec.colearnability, prob))
     written = update_colearnability(state, posts)
     if mutation_enabled and cfg.num_mutations > 0:
         for parent in select_mutation_parents(records, posts, cfg.num_mutations):
             variant = mutate_level(parent.level, cfg.num_edits, cfg.max_blocks, rng)
             trajs = _rollout(state, student, variant, rng)
-            score = _score_wave(state, predictor, trajs, alpha)
-            _train_predictor(predictor, trajs)
-            metrics = level_metrics(variant)
-            child = TaskRecord(
-                task_id=state.next_task_id,
-                level=variant,
-                metrics=metrics,
-                history=[(state.t, score.combined)],
-                colearnability=0.0,
-                last_sampled=state.t,
-                created_at=state.t,
-                best_return=_best_return(trajs),
-            )
-            state.next_task_id += 1
+            score = _score_and_fit(state, predictor, trajs, alpha)
+            child = _new_record(state, variant, level_metrics(variant), score)
             slot = next(i for i, r in enumerate(state.buffer) if r is parent)
             state.buffer[slot] = child
-            rows.append(
-                LogRow(
-                    t=state.t,
-                    phase="mutate",
-                    task_id=child.task_id,
-                    pvl=score.pvl,
-                    atpl=score.atpl,
-                    combined=score.combined,
-                    colearnability=0.0,
-                    priority_prob=None,
-                    shortest_path_len=metrics.shortest_path_len,
-                    num_blocks=metrics.num_blocks,
-                )
-            )
+            rows.append(_row(state, "mutate", child.task_id, score, child.metrics))
     return StepLog(phase="replay", rows=rows, colearnability_written=written)

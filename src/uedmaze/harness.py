@@ -17,6 +17,7 @@ seeded from (seed), and floats are printed with repr.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import time
 from importlib import resources
@@ -26,27 +27,16 @@ import numpy as np
 
 from .agent import PolicyNetwork, sample_actions
 from .config import RunConfig, dump_config, parse_config
-from .curriculum import CurriculumState, Predictor, Student, ued_step
+from .curriculum import CurriculumState, LogRow, Predictor, Student, TaskRecord, ued_step
 from .dynamics import DynamicsModel
 from .env import MazeEnv
 from .errors import ConfigError
-from .levels import level_from_dict, level_to_dict
+from .levels import level_from_dict, level_metrics, level_to_dict
 from .nn import FlatParams
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
-LOG_COLUMNS = (
-    "t",
-    "phase",
-    "task_id",
-    "pvl",
-    "atpl",
-    "combined",
-    "colearnability",
-    "priority_prob",
-    "shortest_path_len",
-    "num_blocks",
-)
+LOG_COLUMNS = tuple(f.name for f in dataclasses.fields(LogRow))
 
 
 def make_components(cfg: RunConfig):
@@ -70,22 +60,7 @@ def _format_cell(value):
 
 
 def _row_cells(row):
-    spl = -1 if row.shortest_path_len is None else row.shortest_path_len
-    return [
-        _format_cell(v)
-        for v in (
-            row.t,
-            row.phase,
-            row.task_id,
-            row.pvl,
-            row.atpl,
-            row.combined,
-            row.colearnability,
-            row.priority_prob,
-            spl,
-            row.num_blocks,
-        )
-    ]
+    return [_format_cell(getattr(row, name)) for name in LOG_COLUMNS]
 
 
 def run_experiment(cfg: RunConfig, out_dir):
@@ -258,7 +233,7 @@ def load_checkpoint(path):
         data = json.load(fh)
     version = data.get("format_version")
     if version != CHECKPOINT_FORMAT_VERSION:
-        raise ValueError(f"unsupported checkpoint format_version {version!r}")
+        raise ValueError(f"unsupported checkpoint format_version {version!r} (expected {CHECKPOINT_FORMAT_VERSION})")
     cfg = parse_config(data["config"])
     policy = PolicyNetwork(cfg.policy_arch())
     student = Student(policy=policy, params=_params_from_dict(data["policy"]), ppo=cfg.ppo())
@@ -284,7 +259,6 @@ def save_buffer_snapshot(path, state: CurriculumState):
                 "colearnability": rec.colearnability,
                 "last_sampled": rec.last_sampled,
                 "created_at": rec.created_at,
-                "best_return": rec.best_return,
             }
             for rec in state.buffer
         ],
@@ -295,9 +269,6 @@ def save_buffer_snapshot(path, state: CurriculumState):
 
 
 def load_buffer_snapshot(path, cfg, mode):
-    from .curriculum import TaskRecord
-    from .levels import level_metrics
-
     with open(path) as fh:
         data = json.load(fh)
     state = CurriculumState(cfg=cfg, mode=mode, t=int(data["t"]), next_task_id=int(data["next_task_id"]))
@@ -313,7 +284,6 @@ def load_buffer_snapshot(path, cfg, mode):
                 colearnability=float(item["colearnability"]),
                 last_sampled=None if item["last_sampled"] is None else int(item["last_sampled"]),
                 created_at=int(item["created_at"]),
-                best_return=float(item["best_return"]),
             )
         )
     return state

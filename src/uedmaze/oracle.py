@@ -1,10 +1,10 @@
 """Brute-force oracles for every theoretical identity the framework relies on.
 
 Each oracle recomputes a quantity by the most literal method available
-(double loops, tabular fixed points, Monte Carlo simulation, central finite
-differences) so the efficient implementations elsewhere have something
-independent to be checked against. verification_report() bundles them into
-the suite behind the CLI's verify command.
+(double loops, tabular fixed points, rules restated from their docstrings,
+central finite differences) so the efficient implementations elsewhere have
+something independent to be checked against. verification_report() bundles
+them into the suite behind the CLI's verify command.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .agent import PolicyArch, PolicyNetwork, PpoBatch, PpoConfig, ppo_loss_and_grad
+from .config import RunConfig
+from .curriculum import CurriculumState, TaskRecord, task_priority_distribution, update_colearnability
 from .dynamics import DynamicsArch, DynamicsModel, dynamics_loss_and_grad
 from .env import NUM_ACTIONS, OBS_DIM
 
@@ -84,15 +86,13 @@ class TabularMDP:
         return self
 
 
-def value_iteration(mdp: TabularMDP, kernel="true", tol=1e-13, max_iter=1_000_000, policy="greedy"):
+def value_iteration(mdp: TabularMDP, kernel="true", tol=1e-13, max_iter=1_000_000):
     """Fixed point of the Bellman operator with greedy successor actions.
 
     kernel selects the transition model: "true" for P (yielding Q*) or
     "empirical" for P_hat (yielding the model-consistent Q). Iterates until
     the sup-norm residual drops below tol.
     """
-    if policy != "greedy":
-        raise ValueError(f"unsupported successor-action rule {policy!r}")
     if kernel == "true":
         P = mdp.P
     elif kernel == "empirical":
@@ -156,90 +156,31 @@ def random_mdp(rng, max_states=6, max_actions=3, kernel_noise=0.5):
 
 
 # ---------------------------------------------------------------------------
-# replay-wait simulation (priority lower bound)
+# the replay sampler's bookkeeping, on random buffers
 
 
-def staleness_simulation(schedule, trials, rng, max_steps=1_000_000):
-    """Empirical mean first-pick times under proportional-to-priority sampling.
+def _random_state(t, n, **cfg_fields):
+    """A traced-mode state at update t holding n tasks with unused levels."""
+    records = [TaskRecord(task_id=i, level=None, metrics=None, history=[]) for i in range(n)]
+    return CurriculumState(cfg=RunConfig(**cfg_fields), mode="traced", buffer=records, t=t, next_task_id=n)
 
-    schedule: (n_steps, n_tasks) array of raw priorities; row s is used at
-    step s and the last row repeats afterwards. Each trial samples tasks one
-    per step until every task has been picked once; the wait of a task is the
-    index (1-based) of the step that first picked it. Returns (mean_waits,
-    bounds) with bounds[i] = n_tasks * max(schedule[0]) / schedule[0, i].
+
+def staleness_floor(state):
+    """rho * s_i / sum(s): the least probability the replay sampler may give each task.
+
+    Staleness by the documented rule: s_i = t - last_sampled, a never-sampled
+    task counts as the stalest sampled one (1 when none has been sampled),
+    and the floor is rho / n when every staleness is 0.
     """
-    schedule = np.asarray(schedule, dtype=np.float64)
-    if schedule.ndim != 2 or schedule.shape[0] < 1:
-        raise ValueError("schedule must be (n_steps, n_tasks)")
-    if np.any(schedule <= 0):
-        raise ValueError("priorities must stay positive")
-    if np.any(np.diff(schedule, axis=0) > 1e-12):
-        raise ValueError("priorities must be non-increasing over time")
-    n_tasks = schedule.shape[1]
-    probs = schedule / schedule.sum(axis=1, keepdims=True)
-    first_hit = np.zeros((trials, n_tasks), dtype=np.int64)
-    for trial in range(trials):
-        remaining = n_tasks
-        step = 0
-        while remaining > 0:
-            if step >= max_steps:
-                raise RuntimeError("simulation exceeded max_steps")
-            row = probs[min(step, len(probs) - 1)]
-            u = rng.random()
-            task = min(int(np.searchsorted(np.cumsum(row), u)), n_tasks - 1)
-            if first_hit[trial, task] == 0:
-                first_hit[trial, task] = step + 1
-                remaining -= 1
-            step += 1
-    mean_waits = first_hit.mean(axis=0)
-    m0 = schedule[0].max()
-    bounds = n_tasks * m0 / schedule[0]
-    return mean_waits, bounds
-
-
-def expected_waits(schedule):
-    """Exact E[first-pick step] (1-based) per task under proportional sampling.
-
-    E[T_i] = sum_{k>=0} Pr[task i missed in steps 0..k-1]; the last schedule
-    row repeats forever, so the tail is a geometric series.
-    """
-    schedule = np.asarray(schedule, dtype=np.float64)
-    probs = schedule / schedule.sum(axis=1, keepdims=True)
-    survival = np.ones(probs.shape[1])
-    total = np.zeros(probs.shape[1])
-    for k in range(len(probs) - 1):
-        total += survival
-        survival *= 1.0 - probs[k]
-    return total + survival / probs[-1]
-
-
-def shared_decay_schedule(initial_priorities, n_steps, rng, min_factor=0.2):
-    """Non-increasing schedule: one shared multiplicative decay path for all tasks.
-
-    Shared decay keeps every task's share of the total mass constant, which is
-    the regime where the proportional-sampling wait bound provably holds; a
-    per-task decay can starve one task and break the bound even though each
-    priority alone is non-increasing.
-    """
-    initial = np.asarray(initial_priorities, dtype=np.float64)
-    factors = np.cumprod(rng.uniform(min_factor ** (1.0 / max(n_steps, 1)), 1.0, size=n_steps))
-    factors = np.concatenate([[1.0], factors])
-    return factors[:, None] * initial[None, :]
-
-
-def prop1_sign_check(before, after):
-    """Batch-mean difficulty reduction vs the mean per-task forward difference.
-
-    Returns (reduction, mean_forward_difference); the two are exact negatives
-    of each other (the forward difference uses after - before).
-    """
-    before = np.asarray(before, dtype=np.float64)
-    after = np.asarray(after, dtype=np.float64)
-    if before.shape != after.shape or before.ndim != 1 or len(before) == 0:
-        raise ValueError("need equal-length non-empty difficulty vectors")
-    reduction = float(np.mean(before - after))
-    forward = float(np.mean(after - before))
-    return reduction, forward
+    rho = state.cfg.staleness_coef
+    sampled = [state.t - r.last_sampled for r in state.buffer if r.last_sampled is not None]
+    fill = max(sampled) if sampled else 1
+    stale = np.array(
+        [fill if r.last_sampled is None else state.t - r.last_sampled for r in state.buffer], dtype=np.float64
+    )
+    if stale.sum() <= 0:
+        return np.full(len(stale), rho / len(stale))
+    return rho * stale / stale.sum()
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +241,7 @@ def _check_gae_pvl(rng):
         compute_gae(traj, gamma, lam)
         adv_oracle = naive_gae(traj.td_errors, gamma, lam)
         worst = max(worst, float(np.max(np.abs(traj.advantages - adv_oracle))))
-        worst = max(worst, abs(positive_value_loss(traj, gamma, lam) - naive_pvl(traj.td_errors, gamma, lam)))
+        worst = max(worst, abs(positive_value_loss(traj) - naive_pvl(traj.td_errors, gamma, lam)))
     hand = naive_pvl(np.array([1.0, -2.0, 0.5]), 1.0, 1.0)
     hand_ok = abs(hand - 0.5 / 3.0) < 1e-12
     return worst < 1e-10 and hand_ok, f"max abs err {worst:.2e}; hand case {hand:.6f}"
@@ -319,62 +260,67 @@ def _check_decomposition(rng):
     return worst < 1e-9, f"max residual {worst:.2e} over 100 random MDPs, all (s, a)"
 
 
-def _check_prop1(rng):
-    worst = 0.0
-    for _ in range(100):
-        n = int(rng.integers(1, 40))
-        before = rng.normal(size=n)
-        after = rng.normal(size=n)
-        reduction, forward = prop1_sign_check(before, after)
-        worst = max(worst, abs(reduction + forward))
-    return worst < 1e-12, f"max |reduction + forward| {worst:.2e} (sign conventions are exact negatives)"
+def _check_colearnability(rng):
+    """update_colearnability against -mean(post - pre) over the current batch.
 
-
-def _check_staleness(rng):
-    """Three layers: exact waits obey the bound; the geometric closed form
-    matches the general recurrence; simulation matches the exact waits.
-
-    Shared decay keeps shares constant, so each wait is geometric with its
-    initial share: the exact mean and variance are known, and the bound can
-    be tested without sampling noise (it is tight at equal shares, where a
-    noisy mean would land above it half the time).
+    As in a replay step, each batch member has just appended its post-replay
+    score at t, so its pre-replay difficulty is its last entry before t. The
+    previous batch mixes buffered and evicted task ids; only buffered ones
+    may receive the value, and no other task may change.
     """
-    detail = []
+    worst = 0.0
     ok = True
-    worst_margin = -np.inf
-    for _ in range(20):
-        n = int(rng.integers(2, 17))
-        initial = rng.uniform(0.3, 1.0, size=n)
-        schedule = shared_decay_schedule(initial, n_steps=int(rng.integers(1, 50)), rng=rng)
-        exact = expected_waits(schedule)
-        shares = initial / initial.sum()
-        if np.max(np.abs(exact - 1.0 / shares)) > 1e-9:
-            ok = False
-            detail.append("recurrence disagrees with the geometric closed form")
-        bounds = len(initial) * initial.max() / initial
-        worst_margin = max(worst_margin, float(np.max(exact - bounds)))
-        if np.any(exact > bounds + 1e-9):
-            ok = False
-            detail.append(f"bound violated: waits {exact} bounds {bounds}")
-    detail.append(f"worst exact-wait margin {worst_margin:.2e} <= 0 over 20 schedules")
-    trials = 4000
-    for _ in range(4):
-        n = int(rng.integers(2, 9))
-        initial = rng.uniform(0.3, 1.0, size=n)
-        schedule = shared_decay_schedule(initial, n_steps=int(rng.integers(1, 20)), rng=rng)
-        empirical, _ = staleness_simulation(schedule, trials=trials, rng=rng)
-        shares = initial / initial.sum()
-        exact = 1.0 / shares
-        tol = 5.0 * np.sqrt((1.0 - shares) / shares**2 / trials)
-        if np.any(np.abs(empirical - exact) > tol):
-            ok = False
-            detail.append(f"simulation off: empirical {empirical} exact {exact}")
-    uniform = np.full((1, 4), 0.25)
-    waits, _ = staleness_simulation(uniform, trials=trials, rng=rng)
-    detail.append(f"uniform-quarter mean wait {waits.mean():.4f}")
-    uniform_ok = abs(float(waits.mean()) - 4.0) <= 0.2
-    note = "schedule family: shared multiplicative decay (constant shares); " + "; ".join(detail)
-    return ok and uniform_ok, note
+    for _ in range(100):
+        t = int(rng.integers(5, 50))
+        n = int(rng.integers(1, 12))
+        state = _random_state(t, n)
+        pre, post = rng.random(n), rng.random(n)
+        for i, rec in enumerate(state.buffer):
+            stamps = np.sort(rng.choice(t, size=int(rng.integers(1, 4)), replace=False)).tolist()
+            values = rng.random(len(stamps)).tolist()
+            rec.history = list(zip(stamps[:-1], values)) + [(stamps[-1], float(pre[i])), (t, float(post[i]))]
+            rec.colearnability = float(rng.normal())
+        batch = np.flatnonzero(rng.random(n) < 0.5).tolist() or [0]
+        prev = np.flatnonzero(rng.random(n + 4) < 0.4).tolist()
+        state.prev_replay_batch = {tid: 0.0 for tid in prev}
+        before = [rec.colearnability for rec in state.buffer]
+        written = update_colearnability(state, {i: float(post[i]) for i in batch})
+        expected = -float(np.mean(post[batch] - pre[batch]))
+        landed = [i for i in prev if i < n]
+        ok = ok and (written is None) == (not landed)
+        if landed:
+            worst = max(worst, abs(written - expected))
+        for i, rec in enumerate(state.buffer):
+            if i in landed:
+                worst = max(worst, abs(rec.colearnability - expected))
+            else:
+                ok = ok and rec.colearnability == before[i]
+        ok = ok and state.prev_replay_batch == {i: float(pre[i]) for i in batch}
+    return ok and worst < 1e-12, f"max |write-back + mean(post - pre)| {worst:.2e} over 100 random buffers"
+
+
+def _check_staleness_floor(rng):
+    """task_priority_distribution gives every task at least rho * s_i / sum(s), whatever the scores."""
+    margin = np.inf
+    ok = True
+    for _ in range(200):
+        t = int(rng.integers(0, 40))
+        n = int(rng.integers(1, 20))
+        state = _random_state(
+            t,
+            n,
+            beta=float(rng.random()),
+            temperature=float(rng.choice([0.1, 0.3, 1.0, 3.0, np.inf])),
+            staleness_coef=float(1.0 - rng.random()),
+        )
+        for rec in state.buffer:
+            rec.history = [(int(rng.integers(0, t + 1)), float(rng.random()))]
+            rec.colearnability = float(rng.normal())
+            rec.last_sampled = None if rng.random() < 0.3 else int(rng.integers(0, t + 1))
+        dist = task_priority_distribution(state)
+        ok = ok and abs(float(dist.sum()) - 1.0) < 1e-12
+        margin = min(margin, float(np.min(dist - staleness_floor(state))))
+    return ok and margin >= -1e-15, f"min p_i - rho*s_i/sum(s) {margin:.2e} over 200 random buffers"
 
 
 def _check_atpl_oracle(rng):
@@ -455,8 +401,8 @@ def verification_report(seed=0):
     suite = (
         ("gae_pvl_vs_naive_oracle", _check_gae_pvl),
         ("regret_decomposition_identity", _check_decomposition),
-        ("colearnability_sign_consistency", _check_prop1),
-        ("replay_wait_bound", _check_staleness),
+        ("colearnability_write_back", _check_colearnability),
+        ("staleness_floor", _check_staleness_floor),
         ("transition_loss_vs_loop_oracle", _check_atpl_oracle),
         ("policy_gradient_finite_differences", check_policy_gradient),
         ("dynamics_gradient_finite_differences", check_dynamics_gradient),

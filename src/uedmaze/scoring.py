@@ -2,15 +2,15 @@
 
 Two trajectory-level signals combine into the score a level is ranked by:
 
-- positive value loss: the average positive part of the lambda-discounted
-  TD-error sums (the GAE advantages), measuring how much better than its own
+- positive value loss: the average positive part of the GAE advantages (the
+  lambda-discounted TD-error sums), measuring how much better than its own
   value estimate the agent just did;
 - average transition prediction loss: the mean per-step L1 error of the
   learned dynamics model along the trajectory, measuring how unfamiliar the
   level's transitions are.
 
 combined = pvl + alpha * atpl. Scoring never mutates parameters or
-trajectories beyond reading the cached td_errors.
+trajectories: it reads the cached advantages that compute_gae wrote.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import trajectory_transitions, transition_loss
+from .dynamics import trajectory_transitions
 
 
 @dataclass(frozen=True)
@@ -30,37 +30,30 @@ class RegretScore:
     combined: float
 
 
-def positive_value_loss(traj, gamma, gae_lambda):
-    """Mean positive part of the discounted TD-error tail sums.
-
-    Requires compute_gae to have filled td_errors. The divisor is the number
-    of transitions actually summed.
-    """
-    if traj.td_errors is None:
-        raise ValueError("trajectory has no td_errors; run compute_gae first")
-    total, count = _pvl_parts(traj, gamma, gae_lambda)
-    return float(total) / count
+def positive_value_loss(traj):
+    """Mean positive part of the GAE advantages, which compute_gae must have filled."""
+    return _positive_advantage_sum(traj) / len(traj.advantages)
 
 
-def _pvl_parts(traj, gamma, gae_lambda):
-    deltas = traj.td_errors
-    if len(deltas) == 0:
+def _positive_advantage_sum(traj):
+    """Sum of the positive advantages, accumulated last step first, as GAE produces them."""
+    if traj.advantages is None:
+        raise ValueError("trajectory has no advantages; run compute_gae first")
+    if len(traj.advantages) == 0:
         raise ValueError("empty trajectory")
-    acc = 0.0
     total = 0.0
-    for t in range(len(deltas) - 1, -1, -1):
-        acc = deltas[t] + gamma * gae_lambda * acc
-        if acc > 0.0:
-            total += acc
-    return total, len(deltas)
+    for a in reversed(traj.advantages.tolist()):
+        if a > 0.0:
+            total += a
+    return total
 
 
-def positive_value_loss_many(trajs, gamma, gae_lambda):
+def positive_value_loss_many(trajs):
     """Step-weighted PVL across a rollout wave: sum of positive parts over total transitions."""
     if not trajs:
         raise ValueError("no trajectories")
-    parts = [_pvl_parts(t, gamma, gae_lambda) for t in trajs]
-    return float(sum(p[0] for p in parts)) / sum(p[1] for p in parts)
+    totals = [_positive_advantage_sum(t) for t in trajs]
+    return float(sum(totals)) / sum(len(t.advantages) for t in trajs)
 
 
 def average_transition_prediction_loss(traj, model, theta):
@@ -94,8 +87,3 @@ def approx_regret(pvl, atpl, alpha):
     pvl, atpl = float(pvl), float(atpl)
     return RegretScore(pvl=pvl, atpl=atpl, alpha=alpha, combined=pvl + alpha * atpl)
 
-
-def max_monte_carlo(traj, best_return):
-    """Mean gap between the best return seen on this level and the visit-time values."""
-    best = max(best_return, traj.episode_return)
-    return float(np.mean(best - traj.values[:-1]))

@@ -23,6 +23,7 @@ from uedmaze.curriculum import (
     CurriculumState,
     TaskRecord,
     mode_settings,
+    sample_replay_batch,
     task_difficulty,
     task_priority_distribution,
     ued_step,
@@ -36,14 +37,11 @@ from uedmaze.oracle import (
     check_dynamics_gradient,
     check_policy_gradient,
     decomposition_check,
-    expected_waits,
     naive_gae,
     naive_pvl,
     naive_transition_loss,
-    prop1_sign_check,
     random_mdp,
-    shared_decay_schedule,
-    staleness_simulation,
+    staleness_floor,
     value_iteration,
 )
 from uedmaze.scoring import approx_regret, average_transition_prediction_loss, positive_value_loss
@@ -115,9 +113,9 @@ def test_01_gae_and_pvl_match_naive_quadratic_oracle():
         lam = float(rng.uniform(0.0, 1.0))
         traj = make_traj(rng.normal(size=n), rng.normal(size=n + 1), gamma, lam)
         gae_err = float(np.max(np.abs(traj.advantages - naive_gae(traj.td_errors, gamma, lam))))
-        pvl_err = abs(positive_value_loss(traj, gamma, lam) - naive_pvl(traj.td_errors, gamma, lam))
+        pvl_err = abs(positive_value_loss(traj) - naive_pvl(traj.td_errors, gamma, lam))
         worst = max(worst, gae_err, pvl_err)
-    hand = positive_value_loss(make_traj([1.0, -2.0, 0.5], [0.0] * 4), 1.0, 1.0)
+    hand = positive_value_loss(make_traj([1.0, -2.0, 0.5], [0.0] * 4))
     elapsed = time.monotonic() - start
     ok = worst < 1e-10 and abs(hand - 0.5 / 3) < 1e-15 and elapsed < 1.0
     _report(1, ok, f"max abs err {worst:.2e} over 100 trajectories; hand case {hand:.10f}; {elapsed:.2f}s")
@@ -192,7 +190,7 @@ def test_04_combined_score_linearity_and_accel_reduction():
     theta = model.init_params(np.random.default_rng(7)).theta
     for traj in trajs:
         traj = compute_gae(traj, 0.995, 0.95)
-        pvl = positive_value_loss(traj, 0.995, 0.95)
+        pvl = positive_value_loss(traj)
         atpl = average_transition_prediction_loss(traj, model, theta)
         exact = exact and approx_regret(pvl, atpl, 0.0).combined == pvl
     accel_alpha, accel_beta, accel_mutates = mode_settings("accel", SMALL)
@@ -243,39 +241,64 @@ def test_06_full_buffer_colearnability_equals_negative_mean_change():
         state = _state(recs)
         state.prev_replay_batch = {i: float(pre[i]) for i in range(n)}
         value = update_colearnability(state, {i: float(post[i]) for i in range(n)})
-        _, forward = prop1_sign_check(pre, post)
-        worst = max(worst, abs(value - (-forward)))
+        worst = max(worst, abs(value - (-np.mean(post - pre))))
     ok = worst < 1e-12
-    _report(6, ok, f"max |value + mean(Y_j)| {worst:.2e} over 100 random snapshot pairs "
-                   "(batch = whole buffer; forward differences Y_j = post_j - pre_j)")
+    _report(6, ok, f"max |value + mean(post - pre)| {worst:.2e} over 100 random snapshot pairs "
+                   "(batch = whole buffer)")
+
+
+def _random_buffer(rng, n, t, rho):
+    cfg = dataclasses.replace(SMALL, staleness_coef=rho, temperature=float(rng.choice([0.3, 1.0, np.inf])),
+                              batch_size=int(rng.integers(1, min(n, 3) + 1)))
+    recs = [_record(i, [(int(rng.integers(0, t + 1)), float(rng.random()))]) for i in range(n)]
+    for rec in recs:
+        rec.colearnability = float(rng.normal())
+        rec.last_sampled = None if rng.random() < 0.3 else int(rng.integers(0, t + 1))
+    return _state(recs, cfg=cfg, t=t)
 
 
 def test_07_wait_time_bound_over_decaying_priorities():
+    """The staleness floor bounds every task's wait, however far its priority decays.
+
+    With staleness coefficient rho, the shipped sampler must give a task of
+    staleness s at least rho * s / sum(s), so a task's draw probability grows
+    while it waits. The first draw of sample_replay_batch must also follow
+    task_priority_distribution, within a Bernstein radius at delta = 1e-9.
+    """
     start = time.monotonic()
     rng = np.random.default_rng(707)
-    sim_ok = True
-    exact_ok = True
     min_margin = np.inf
-    for _ in range(20):
-        n = int(rng.integers(2, 17))
-        # keep the top share strictly away from uniform: the bound is exactly
-        # tight at equal shares, where a finite-trial mean sits on either side
-        while True:
-            initial = rng.uniform(0.2, 1.0, size=n)
-            if initial.max() >= 1.3 * initial.mean():
-                break
-        schedule = shared_decay_schedule(initial, int(rng.integers(1, 40)), rng)
-        means, bounds = staleness_simulation(schedule, trials=1000, rng=rng)
-        sim_ok = sim_ok and bool(np.all(means <= bounds))
-        exact_ok = exact_ok and bool(np.all(expected_waits(schedule) <= bounds + 1e-9))
-        min_margin = min(min_margin, float(np.min(bounds - means)))
-    uniform_means, uniform_bounds = staleness_simulation(np.ones((1, 4)), trials=1000, rng=rng)
-    uniform_mean = float(uniform_means.mean())
-    uniform_ok = abs(uniform_mean - 4.0) <= 0.2 and np.all(uniform_bounds == 4.0)
+    for _ in range(200):
+        n = int(rng.integers(1, 17))
+        state = _random_buffer(rng, n, int(rng.integers(0, 40)), float(1.0 - rng.random()))
+        min_margin = min(min_margin, float(np.min(task_priority_distribution(state) - staleness_floor(state))))
+    floor_ok = min_margin >= -1e-15
+
+    draws = 20_000
+    log_term = np.log(2.0 / 1e-9)
+    worst_excess = -np.inf
+    probs_ok = True
+    for _ in range(3):
+        n = int(rng.integers(4, 9))
+        state = _random_buffer(rng, n, int(rng.integers(5, 40)), float(1.0 - rng.random()))
+        dist = task_priority_distribution(state)
+        stamps = [r.last_sampled for r in state.buffer]
+        counts = np.zeros(n)
+        for _ in range(draws):
+            records, probs = sample_replay_batch(state, rng)
+            counts[records[0].task_id] += 1
+            probs_ok = probs_ok and probs[0] == dist[records[0].task_id]
+            for rec, stamp in zip(state.buffer, stamps):
+                rec.last_sampled = stamp
+        radius = (log_term / 3.0 + np.sqrt(log_term**2 / 9.0 + 2.0 * draws * dist * (1.0 - dist) * log_term)) / draws
+        worst_excess = max(worst_excess, float(np.max(np.abs(counts / draws - dist) - radius)))
+    freq_ok = worst_excess <= 0.0
     elapsed = time.monotonic() - start
-    ok = sim_ok and exact_ok and uniform_ok and elapsed < 30.0
-    _report(7, ok, f"20 schedules x 1000 trials: empirical <= bound {sim_ok} (min margin {min_margin:.3f}), "
-                   f"exact <= bound {exact_ok}; uniform-1/4 mean wait {uniform_mean:.3f}; {elapsed:.1f}s")
+    ok = floor_ok and freq_ok and probs_ok and elapsed < 30.0
+    _report(7, ok, f"staleness floor: min p_i - rho*s_i/sum(s) {min_margin:.2e} over 200 random buffers; "
+                   f"first-draw frequencies within the Bernstein radius (delta 1e-9) on 3 buffers x {draws} draws "
+                   f"{freq_ok} (largest |freq - p| - radius {worst_excess:.4f}); reported probabilities exact {probs_ok}; "
+                   f"{elapsed:.1f}s")
 
 
 def test_08_backward_passes_match_central_finite_differences():

@@ -135,6 +135,34 @@ def test_checkpoint_rejects_unknown_version(micro_run, tmp_path):
         load_checkpoint(bad)
 
 
+def test_checkpoint_rejects_format_1_before_parsing_its_config(micro_run, tmp_path):
+    # format 1 configs carry the removed ppo.return_normalization key
+    _, out, _ = micro_run
+    data = json.loads((out / "checkpoint_final.json").read_text())
+    data["format_version"] = 1
+    data["config"] = data["config"].replace("[ppo]\n", "[ppo]\nreturn_normalization = false\n")
+    old = tmp_path / "format1.json"
+    old.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="format_version 1 "):
+        load_checkpoint(old)
+    data["format_version"] = 2
+    old.write_text(json.dumps(data))
+    with pytest.raises(ConfigError, match="unknown key ppo.return_normalization"):
+        load_checkpoint(old)
+
+
+def test_buffer_snapshot_ignores_a_stale_best_return_key(micro_run, tmp_path):
+    cfg, out, _ = micro_run
+    data = json.loads((out / "buffer.json").read_text())
+    assert data["tasks"] and all("best_return" not in task for task in data["tasks"])
+    for task in data["tasks"]:
+        task["best_return"] = 0.5
+    old = tmp_path / "old_buffer.json"
+    old.write_text(json.dumps(data))
+    state = load_buffer_snapshot(old, cfg, cfg.mode)
+    assert [r.task_id for r in state.buffer] == [task["task_id"] for task in data["tasks"]]
+
+
 def test_buffer_snapshot_round_trip(micro_run, tmp_path):
     cfg, out, _ = micro_run
     state = load_buffer_snapshot(out / "buffer.json", cfg, cfg.mode)

@@ -209,9 +209,9 @@ def test_insert_respects_capacity_and_evicts_weakest():
     cfg = dataclasses.replace(MICRO, buffer_size=3, staleness_coef=0.0, temperature=1.0)
     state = state_with([record(i, [(5, s)]) for i, s in enumerate([0.5, 0.2, 0.9])], cfg=cfg)
     level = generate_random_level(5, 5, 2, np.random.default_rng(9))
-    rejected = maybe_insert(state, level, score(0.1), level_metrics(level), 0.0)
+    rejected = maybe_insert(state, level, score(0.1), level_metrics(level))
     assert rejected is None and len(state.buffer) == 3
-    inserted = maybe_insert(state, level, score(0.6), level_metrics(level), 0.0)
+    inserted = maybe_insert(state, level, score(0.6), level_metrics(level))
     assert inserted is not None
     assert len(state.buffer) == 3
     assert {r.task_id for r in state.buffer} == {0, 2, inserted.task_id}
@@ -224,7 +224,7 @@ def test_buffer_never_exceeds_capacity():
     rng = np.random.default_rng(3)
     for i in range(50):
         level = generate_random_level(5, 5, 2, rng)
-        maybe_insert(state, level, score(float(rng.random())), level_metrics(level), 0.0)
+        maybe_insert(state, level, score(float(rng.random())), level_metrics(level))
         assert len(state.buffer) <= 4
     assert len(state.buffer) == 4
 

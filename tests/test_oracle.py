@@ -1,16 +1,13 @@
 import numpy as np
 import pytest
 
+import uedmaze.curriculum as curriculum
 import uedmaze.oracle as oracle
 from uedmaze.oracle import (
     TabularMDP,
     decomposition_check,
-    expected_waits,
     naive_transition_loss,
-    prop1_sign_check,
     random_mdp,
-    shared_decay_schedule,
-    staleness_simulation,
     value_iteration,
     verification_report,
 )
@@ -69,50 +66,6 @@ def test_identical_kernels_put_everything_in_the_value_term():
     assert report.transition_error_term == pytest.approx(0.0, abs=1e-10)
 
 
-def test_prop1_signs_are_exact_negatives():
-    rng = np.random.default_rng(3)
-    for _ in range(100):
-        n = int(rng.integers(1, 12))
-        before, after = rng.random(n), rng.random(n)
-        reduction, forward = prop1_sign_check(before, after)
-        assert abs(reduction + forward) < 1e-12
-
-
-def test_expected_waits_uniform_quarter():
-    assert np.allclose(expected_waits(np.full((1, 4), 0.25)), 4.0)
-
-
-def test_expected_waits_two_row_schedule():
-    # first step p0, every later step p1: E = 1 + (1 - p0)/p1
-    schedule = np.array([[0.3, 0.7], [0.1, 0.9]])
-    probs0 = schedule[0] / schedule[0].sum()
-    probs1 = schedule[1] / schedule[1].sum()
-    expected = 1.0 + (1.0 - probs0) / probs1
-    assert np.allclose(expected_waits(schedule), expected)
-
-
-def test_shared_decay_keeps_shares_constant():
-    rng = np.random.default_rng(4)
-    initial = rng.uniform(0.2, 1.0, size=5)
-    schedule = shared_decay_schedule(initial, 30, rng)
-    shares = schedule / schedule.sum(axis=1, keepdims=True)
-    assert np.all(np.abs(shares - shares[0]) < 1e-12)
-    assert np.all(np.diff(schedule, axis=0) <= 1e-12)
-
-
-def test_staleness_simulation_matches_geometry():
-    rng = np.random.default_rng(5)
-    waits, bounds = staleness_simulation(np.full((1, 4), 1.0), trials=4000, rng=rng)
-    assert np.allclose(bounds, 4.0)
-    assert np.all(np.abs(waits - 4.0) < 0.3)
-
-
-def test_staleness_simulation_rejects_increasing_priorities():
-    schedule = np.array([[0.5, 0.5], [0.6, 0.5]])
-    with pytest.raises(ValueError):
-        staleness_simulation(schedule, trials=10, rng=np.random.default_rng(0))
-
-
 def test_naive_transition_loss_shapes():
     rng = np.random.default_rng(6)
     pred, actual = rng.random((4, 7)), rng.random((4, 7))
@@ -142,3 +95,28 @@ def test_verification_catches_an_injected_sign_flip(monkeypatch):
     failing = {c["name"] for c in report["checks"] if not c["passed"]}
     assert "gae_pvl_vs_naive_oracle" in failing
     assert "transition_loss_vs_loop_oracle" not in failing
+
+
+def test_verification_catches_a_write_back_read_at_the_wrong_update(monkeypatch):
+    healthy = curriculum.update_colearnability
+
+    def reads_post_scores(state, batch_posts):
+        state.t += 1  # pre-replay difficulty then picks up the post-replay entry
+        try:
+            return healthy(state, batch_posts)
+        finally:
+            state.t -= 1
+
+    assert oracle._check_colearnability(np.random.default_rng(0))[0]
+    monkeypatch.setattr(oracle, "update_colearnability", reads_post_scores)
+    assert not oracle._check_colearnability(np.random.default_rng(0))[0]
+
+
+def test_verification_catches_a_sampler_that_starves_never_sampled_tasks(monkeypatch):
+    def zero_for_never_sampled(state):
+        raw = np.array([0.0 if r.last_sampled is None else float(state.t - r.last_sampled) for r in state.buffer])
+        return raw / raw.sum() if raw.sum() > 0 else np.full(len(raw), 1.0 / len(raw))
+
+    assert oracle._check_staleness_floor(np.random.default_rng(0))[0]
+    monkeypatch.setattr(curriculum, "_staleness_weights", zero_for_never_sampled)
+    assert not oracle._check_staleness_floor(np.random.default_rng(0))[0]

@@ -8,7 +8,6 @@ from uedmaze.oracle import naive_pvl
 from uedmaze.scoring import (
     approx_regret,
     average_transition_prediction_loss,
-    max_monte_carlo,
     positive_value_loss,
     positive_value_loss_many,
 )
@@ -29,7 +28,7 @@ def make_traj(rewards, values, gamma=1.0, lam=1.0, observations=None):
 
 def test_pvl_hand_case():
     traj = make_traj([1.0, -2.0, 0.5], [0.0] * 4)
-    assert positive_value_loss(traj, 1.0, 1.0) == pytest.approx(0.5 / 3, abs=1e-15)
+    assert positive_value_loss(traj) == pytest.approx(0.5 / 3, abs=1e-15)
 
 
 def test_pvl_matches_naive_oracle():
@@ -39,7 +38,7 @@ def test_pvl_matches_naive_oracle():
         gamma = float(rng.uniform(0.5, 1.0))
         lam = float(rng.uniform(0.0, 1.0))
         traj = make_traj(rng.normal(size=n), rng.normal(size=n + 1), gamma=gamma, lam=lam)
-        fast = positive_value_loss(traj, gamma, lam)
+        fast = positive_value_loss(traj)
         slow = naive_pvl(traj.td_errors, gamma, lam)
         assert abs(fast - slow) < 1e-10
 
@@ -54,13 +53,36 @@ def test_pvl_requires_gae():
         terminal=True,
     )
     with pytest.raises(ValueError):
-        positive_value_loss(traj, 0.99, 0.95)
+        positive_value_loss(traj)
+
+
+def test_pvl_reads_the_cached_advantages():
+    # summed last step first: 1e-16 + 1e-16 survives the addition of 1.0, a forward sum would drop it
+    advantages = np.array([1.0, -1.0, 1e-16, 1e-16, -0.0])
+    traj = Trajectory(
+        observations=np.zeros((6, OBS_DIM)),
+        actions=np.zeros(5, dtype=np.int64),
+        log_probs=np.zeros(5),
+        rewards=np.zeros(5),
+        values=np.zeros(6),
+        terminal=True,
+        advantages=advantages,
+    )
+    assert traj.td_errors is None
+    assert positive_value_loss(traj) == (1e-16 + 1e-16 + 1.0) / 5
+    assert positive_value_loss_many([traj]) == (1e-16 + 1e-16 + 1.0) / 5
+    assert (1e-16 + 1e-16 + 1.0) != (1.0 + 1e-16 + 1e-16)
+    traj.advantages = None
+    with pytest.raises(ValueError):
+        positive_value_loss(traj)
+    with pytest.raises(ValueError):
+        positive_value_loss_many([traj])
 
 
 def test_pvl_many_is_step_weighted():
     a = make_traj([1.0, -2.0, 0.5], [0.0] * 4)  # 3 steps, positive mass 0.5
     b = make_traj([2.0], [0.0, 0.0])  # 1 step, positive mass 2.0
-    combined = positive_value_loss_many([a, b], 1.0, 1.0)
+    combined = positive_value_loss_many([a, b])
     assert combined == pytest.approx(2.5 / 4, abs=1e-15)
 
 
@@ -116,10 +138,3 @@ def test_approx_regret_rejects_negatives():
     with pytest.raises(ValueError):
         approx_regret(0.1, 0.1, -1.0)
 
-
-def test_max_monte_carlo_hand_case():
-    traj = make_traj([0.0, 0.8], [0.5, 0.25, 0.0])
-    assert traj.episode_return == 0.8
-    assert max_monte_carlo(traj, best_return=0.3) == pytest.approx(0.425)
-    # a historical best above this episode's return takes over
-    assert max_monte_carlo(traj, best_return=1.0) == pytest.approx(np.mean([0.5, 0.75]))
