@@ -10,11 +10,17 @@ exactly uniform.
 All updates are functional: ppo_update returns a fresh parameter object and
 never touches its input, which keeps no-gradient scoring rollouts trivially
 safe to interleave with training.
+
+Workspace contract (see uedmaze.nn): a PolicyNetwork reuses its hidden
+activations and trunk input across forwards. Logits and values are fresh
+arrays the caller may keep; the cache is valid until the next forward on the
+same PolicyNetwork and is consumed by backward. ppo_update gathers each
+epoch's shuffled batch into buffers it allocates once per call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -63,10 +69,10 @@ class PolicyNetwork:
         obs_batch = np.asarray(obs_batch, dtype=np.float64)
         if obs_batch.ndim != 2 or obs_batch.shape[1] != OBS_DIM:
             raise ValueError(f"expected obs batch of shape (N, {OBS_DIM}), got {obs_batch.shape}")
-        image = obs_batch[:, :OBS_IMAGE_DIM]
-        direction = obs_batch[:, OBS_IMAGE_DIM:]
-        emb, cache_e = self.net.forward(theta, "embed", direction)
-        trunk_in = np.concatenate([image, emb], axis=1)
+        emb, cache_e = self.net.forward(theta, "embed", obs_batch[:, OBS_IMAGE_DIM:])
+        trunk_in = self.net.workspace("trunk_in", len(obs_batch), OBS_IMAGE_DIM + emb.shape[1])
+        trunk_in[:, :OBS_IMAGE_DIM] = obs_batch[:, :OBS_IMAGE_DIM]
+        trunk_in[:, OBS_IMAGE_DIM:] = emb
         hidden, cache_t = self.net.forward(theta, "trunk", trunk_in)
         logits, cache_a = self.net.forward(theta, "actor", hidden)
         values, cache_c = self.net.forward(theta, "critic", hidden)
@@ -80,9 +86,9 @@ class PolicyNetwork:
         cache_e, cache_t, cache_a, cache_c = cache
         grad = np.zeros_like(theta)
         dh = self.net.backward(theta, "actor", cache_a, dlogits, grad)
-        dh = dh + self.net.backward(theta, "critic", cache_c, dvalues[:, None], grad)
+        dh += self.net.backward(theta, "critic", cache_c, dvalues[:, None], grad)
         dtrunk_in = self.net.backward(theta, "trunk", cache_t, dh, grad)
-        self.net.backward(theta, "embed", cache_e, dtrunk_in[:, OBS_IMAGE_DIM:], grad)
+        self.net.backward(theta, "embed", cache_e, dtrunk_in[:, OBS_IMAGE_DIM:], grad, input_grad=False)
         return grad
 
 
@@ -235,15 +241,14 @@ class PpoBatch:
     returns: np.ndarray
     old_values: np.ndarray
 
-    def take(self, idx):
-        return PpoBatch(
-            self.obs[idx],
-            self.actions[idx],
-            self.old_log_probs[idx],
-            self.advantages[idx],
-            self.returns[idx],
-            self.old_values[idx],
-        )
+    def arrays(self):
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+    def take(self, idx, out):
+        """Rows idx (all in range), in that order, gathered into the leading rows of `out`'s arrays."""
+        pairs = zip(self.arrays(), out.arrays())
+        # mode="clip" writes straight into dst; the default mode gathers into a temporary first
+        return PpoBatch(*(np.take(src, idx, axis=0, out=dst[: len(idx)], mode="clip") for src, dst in pairs))
 
     def __len__(self):
         return len(self.actions)
@@ -326,6 +331,7 @@ def ppo_update(policy, params: FlatParams, trajs, cfg: PpoConfig, rng):
     stats["aborted"] is True.
     """
     batch = build_batch(trajs)
+    shuffled = PpoBatch(*(np.empty_like(a) for a in batch.arrays()))
     new_params = params
     stats = {"aborted": False, "num_steps": len(batch), "grad_norm": 0.0}
     for _ in range(cfg.epochs):
@@ -333,7 +339,7 @@ def ppo_update(policy, params: FlatParams, trajs, cfg: PpoConfig, rng):
         for idx in np.array_split(order, cfg.minibatches):
             if len(idx) == 0:
                 continue
-            loss, grad, step_stats = ppo_loss_and_grad(policy, new_params.theta, batch.take(idx), cfg)
+            loss, grad, step_stats = ppo_loss_and_grad(policy, new_params.theta, batch.take(idx, shuffled), cfg)
             if not (np.isfinite(loss) and np.all(np.isfinite(grad))):
                 return params, {**stats, **step_stats, "aborted": True, "loss": float(loss)}
             grad, norm = clip_grad_norm(grad, cfg.max_grad_norm)

@@ -49,7 +49,10 @@ class DynamicsModel:
             raise ValueError(f"expected obs of shape (N, {OBS_DIM}), got {obs.shape}")
         if action_onehot.shape != (obs.shape[0], NUM_ACTIONS):
             raise ValueError(f"action batch shape {action_onehot.shape} does not match obs")
-        pred, cache = self.net.forward(theta, "net", np.concatenate([obs, action_onehot], axis=1))
+        x = self.net.workspace("input", len(obs), OBS_DIM + NUM_ACTIONS)
+        x[:, :OBS_DIM] = obs
+        x[:, OBS_DIM:] = action_onehot
+        pred, cache = self.net.forward(theta, "net", x)
         if not np.all(np.isfinite(pred)):
             raise FloatingPointError("non-finite dynamics prediction")
         return pred, cache
@@ -58,35 +61,57 @@ class DynamicsModel:
         return self.forward(theta, obs, action_onehot)[0]
 
 
-def transition_loss(predicted, actual):
-    """Exact L1: mean absolute element-wise difference. Shapes must match."""
+def _matching_pair(predicted, actual):
+    """Both as float64 arrays; ValueError unless their shapes match and are non-empty."""
     predicted = np.asarray(predicted, dtype=np.float64)
     actual = np.asarray(actual, dtype=np.float64)
     if predicted.shape != actual.shape:
         raise ValueError(f"shape mismatch: {predicted.shape} vs {actual.shape}")
     if predicted.size == 0:
         raise ValueError("empty prediction")
+    return predicted, actual
+
+
+def transition_loss(predicted, actual):
+    """Exact L1: mean absolute element-wise difference. Shapes must match."""
+    predicted, actual = _matching_pair(predicted, actual)
     return float(np.abs(predicted - actual).mean())
 
 
-def smooth_l1(diff, width=SMOOTH_L1_WIDTH):
-    """Elementwise surrogate: quadratic inside |d| < width, |d| - width/2 outside."""
-    a = np.abs(diff)
-    return np.where(a < width, 0.5 * diff * diff / width, a - 0.5 * width)
+def smooth_l1(diff, width=SMOOTH_L1_WIDTH, out=None):
+    """Elementwise surrogate: quadratic inside |d| < width, |d| - width/2 outside; into `out` when given."""
+    diff = np.asarray(diff, dtype=np.float64)
+    out = np.abs(diff, out=out)
+    inside = out < width
+    d = diff[inside]
+    out -= 0.5 * width
+    out[inside] = 0.5 * d * d / width
+    return out
 
 
-def smooth_l1_grad(diff, width=SMOOTH_L1_WIDTH):
-    return np.where(np.abs(diff) < width, diff / width, np.sign(diff))
+def smooth_l1_grad(diff, width=SMOOTH_L1_WIDTH, out=None):
+    """Derivative of smooth_l1, written into `out` when given (which may be diff itself)."""
+    diff = np.asarray(diff, dtype=np.float64)
+    inside = np.abs(diff) < width
+    d = diff[inside]
+    out = np.sign(diff, out=out)
+    out[inside] = d / width
+    return out
 
 
 def dynamics_loss_and_grad(model: DynamicsModel, theta, obs, action_onehot, next_obs):
-    """Mean smoothed-L1 over all elements and its parameter gradient."""
+    """(mean smoothed-L1, its parameter gradient, exact L1) from one forward pass."""
     pred, cache = model.forward(theta, obs, action_onehot)
-    diff = pred - np.asarray(next_obs, dtype=np.float64)
-    loss = float(smooth_l1(diff).mean())
+    pred, next_obs = _matching_pair(pred, next_obs)
+    diff = np.subtract(pred, next_obs, out=pred)  # pred is this call's own array
+    buf = np.abs(diff)
+    l1 = float(buf.mean())  # transition_loss(pred, next_obs), bit for bit
+    loss = float(smooth_l1(diff, out=buf).mean())
+    dy = smooth_l1_grad(diff, out=diff)
+    dy /= dy.size
     grad = np.zeros_like(theta)
-    model.net.backward(theta, "net", cache, smooth_l1_grad(diff) / diff.size, grad)
-    return loss, grad
+    model.net.backward(theta, "net", cache, dy, grad, input_grad=False)
+    return loss, grad, l1
 
 
 @dataclass(frozen=True)
@@ -102,9 +127,7 @@ def train_dynamics(model, params: FlatParams, obs, action_onehot, next_obs, cfg:
     stats["loss_l1"] is the exact pre-step L1. Non-finite gradients abort the
     step: the input parameters come back unchanged with stats["aborted"] True.
     """
-    pred = model.predict(params.theta, obs, action_onehot)
-    l1 = transition_loss(pred, next_obs)
-    loss, grad = dynamics_loss_and_grad(model, params.theta, obs, action_onehot, next_obs)
+    loss, grad, l1 = dynamics_loss_and_grad(model, params.theta, obs, action_onehot, next_obs)
     stats = {"loss_l1": l1, "loss_surrogate": loss, "aborted": False}
     if not np.all(np.isfinite(grad)):
         return params, {**stats, "aborted": True}

@@ -3,9 +3,19 @@
 Networks are described as named chains of dense layers packed into a single
 flat vector, which keeps checkpoints trivial (one array plus metadata) and
 makes finite-difference gradient checks direct. Forward passes cache layer
-inputs and pre-activations; backward passes accumulate into a flat gradient
+inputs and post-activations; backward passes accumulate into a flat gradient
 of the same length. Optimization is plain Adam with optional global-norm
 gradient clipping.
+
+Workspace contract. A ChainSet builds its per-layer (W, b) views once per
+parameter array (by identity; they are views, so in-place edits of that
+array show through) and writes every relu layer's output into a per-layer
+workspace that grows to the largest batch seen. So a forward's cache, and
+the output of a chain that ends in relu, stay valid only until the next
+forward of that chain on the same ChainSet, and backward consumes the cache.
+Linear layers return fresh arrays, so a chain that ends in one (logits,
+values, predictions) hands the caller an array that no later forward
+overwrites. Backward never writes to the caller's dy and returns a fresh dx.
 """
 
 from __future__ import annotations
@@ -65,6 +75,8 @@ class ChainSet:
                 )
                 offset += spec.size
         self.size = offset
+        self._views = (None, None)  # (theta, {name: [(W, b) per layer]})
+        self._buffers = {}
 
     def init_theta(self, rng):
         """Orthogonal weights (gain sqrt(2) before relu, 1 otherwise), zero biases."""
@@ -83,28 +95,66 @@ class ChainSet:
         w_slice, b_slice = self._slices[(name, i)]
         return theta[w_slice].reshape(spec.out_dim, spec.in_dim), theta[b_slice]
 
+    def _layer_views(self, theta, name):
+        """[(W, b)] views into theta for chain `name`, built once per theta object."""
+        cached, views = self._views
+        if cached is not theta:
+            views = {
+                chain: [self.weights(theta, chain, i) for i in range(len(specs))]
+                for chain, specs in self.chains.items()
+            }
+            self._views = (theta, views)
+        return views[name]
+
+    def workspace(self, key, rows, cols):
+        """An (rows, cols) float64 buffer, reused by the next call with the same key."""
+        buf = self._buffers.get(key)
+        if buf is None or len(buf) < rows:
+            buf = self._buffers[key] = np.empty((rows, cols))
+        return buf[:rows]
+
     def forward(self, theta, name, x):
-        """Run chain `name` on batch x (N, in_dim); returns (y, cache) for backward."""
+        """Run chain `name` on batch x (N, in_dim); returns (y, cache) for backward.
+
+        Relu layers write into this ChainSet's workspaces (see the module
+        docstring); a linear layer's output is a fresh array.
+        """
         cache = []
-        for i, spec in enumerate(self.chains[name]):
-            w, b = self.weights(theta, name, i)
-            z = x @ w.T + b
-            cache.append((x, z))
-            x = np.maximum(z, 0.0) if spec.activation == "relu" else z
+        for i, (spec, (w, b)) in enumerate(zip(self.chains[name], self._layer_views(theta, name))):
+            if spec.activation == "relu":
+                y = np.matmul(x, w.T, out=self.workspace((name, i), len(x), spec.out_dim))
+                y += b
+                np.maximum(y, 0.0, out=y)
+            else:
+                y = x @ w.T + b
+            cache.append((x, y))
+            x = y
         return x, cache
 
-    def backward(self, theta, name, cache, dy, grad):
-        """Backprop dy through chain `name`, accumulating into flat `grad`; returns dx."""
-        for i in range(len(self.chains[name]) - 1, -1, -1):
-            spec = self.chains[name][i]
-            x, z = cache[i]
-            dz = dy * (z > 0.0) if spec.activation == "relu" else dy
+    def backward(self, theta, name, cache, dy, grad, input_grad=True):
+        """Backprop dy through chain `name`, accumulating into flat `grad`; returns dx.
+
+        dx is a fresh array, or None with input_grad False, which skips it.
+        Consumes the cache: each hidden layer's input gradient overwrites that
+        layer's cached input, so run it at most once per forward. dy itself is
+        never written. y > 0 is the relu mask, as y = max(z, 0).
+        """
+        specs = self.chains[name]
+        views = self._layer_views(theta, name)
+        last = len(specs) - 1
+        if specs[last].activation == "relu":
+            dy = dy * (cache[last][1] > 0.0)
+        for i in range(last, -1, -1):
+            x = cache[i][0]
             w_slice, b_slice = self._slices[(name, i)]
-            w = theta[w_slice].reshape(spec.out_dim, spec.in_dim)
-            grad[w_slice] += (dz.T @ x).ravel()
-            grad[b_slice] += dz.sum(axis=0)
-            dy = dz @ w
-        return dy
+            grad[w_slice] += (dy.T @ x).ravel()
+            grad[b_slice] += dy.sum(axis=0)
+            if i == 0:
+                return dy @ views[0][0] if input_grad else None
+            mask = x > 0.0 if specs[i - 1].activation == "relu" else None
+            dy = np.matmul(dy, views[i][0], out=x)
+            if mask is not None:
+                dy *= mask
 
 
 @dataclass

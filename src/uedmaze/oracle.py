@@ -389,7 +389,7 @@ def check_dynamics_gradient(rng, points=5, tol=1e-4):
         act = np.eye(NUM_ACTIONS)[rng.integers(0, NUM_ACTIONS, size=n)]
         nxt = rng.random((n, OBS_DIM))
         theta = model.init_params(rng).theta + 0.1 * rng.standard_normal(model.net.size)
-        _, grad = dynamics_loss_and_grad(model, theta, obs, act, nxt)
+        _, grad, _ = dynamics_loss_and_grad(model, theta, obs, act, nxt)
         fd = finite_difference_gradient(lambda th: dynamics_loss_and_grad(model, th, obs, act, nxt)[0], theta)
         worst = max(worst, relative_error(grad, fd))
     return worst < tol, f"max rel err {worst:.2e} over {points} points"
