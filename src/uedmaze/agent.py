@@ -7,6 +7,9 @@ relu trunk; separate actor and critic heads produce action logits and the
 scalar value. The final actor layer starts at zero so the initial policy is
 exactly uniform.
 
+Rollouts run one forward per step; evaluation (harness.run_episodes) runs
+one per level and steps by PolicyTable lookups.
+
 All updates are functional: ppo_update returns a fresh parameter object and
 never touches its input, which keeps no-gradient scoring rollouts trivially
 safe to interleave with training.
@@ -20,11 +23,12 @@ epoch's shuffled batch into buffers it allocates once per call.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .env import NUM_ACTIONS, OBS_DIM, OBS_IMAGE_DIM, MazeEnv
+from .env import NUM_ACTIONS, OBS_DIM, OBS_IMAGE_DIM, MazeEnv, observation_table
 from .levels import NUM_DIRECTIONS
 from .nn import ChainSet, DenseSpec, FlatParams, adam_step, clip_grad_norm
 
@@ -104,6 +108,23 @@ def sample_categorical(probs, uniforms):
     return np.minimum(idx, probs.shape[1] - 1)
 
 
+class PolicyTable:
+    """The policy on every state of one level (row s: MazeEnv.state_index s), from one forward.
+
+    The network has no memory and sees only (cell, facing): this is all of it.
+    cdf[s] omits the last action, which takes the probability the others leave.
+    """
+
+    def __init__(self, policy, params, level):
+        logits, _, _ = policy.forward(params.theta, observation_table(level).reshape(-1, OBS_DIM))
+        self.cdf = np.cumsum(np.exp(log_softmax(logits)), axis=1)[:, :-1].tolist()
+        self.greedy = logits.argmax(axis=1).tolist()
+
+    def act(self, state, u=None):
+        """Greedy when u is None, else the first action whose cumulative probability reaches u."""
+        return self.greedy[state] if u is None else bisect_left(self.cdf[state], u)
+
+
 @dataclass
 class Trajectory:
     """One episode (possibly cut off by the rollout horizon).
@@ -148,14 +169,11 @@ def compute_gae(traj: Trajectory, gamma, lam):
     return traj
 
 
-def sample_actions(policy, params, obs, rng, greedy=False):
-    """(actions, chosen log-probs, values) as lists from one forward pass; greedy draws nothing from rng."""
+def sample_actions(policy, params, obs, rng):
+    """(actions, chosen log-probs, values) as lists from one forward pass."""
     logits, values, _ = policy.forward(params.theta, obs)
     logp = log_softmax(logits)
-    if greedy:
-        actions = logits.argmax(axis=1)
-    else:
-        actions = sample_categorical(np.exp(logp), rng.random(len(logits)))
+    actions = sample_categorical(np.exp(logp), rng.random(len(logits)))
     return actions.tolist(), logp[np.arange(len(actions)), actions].tolist(), values.tolist()
 
 

@@ -10,7 +10,7 @@ max_episode_steps. Dynamics are fully deterministic.
 
 Observations are read-only rows of a per-level table holding the observation
 of every (cell, facing), built in one vectorised pass and shared by envs on
-equal levels: a step is one row lookup.
+equal levels: a step is one row lookup, at MazeEnv.state_index when flattened.
 """
 
 from __future__ import annotations
@@ -154,6 +154,12 @@ class MazeEnv:
         elif self.t >= self.max_episode_steps:
             self.done = True
         return self._observe(), reward, self.done
+
+    @property
+    def state_index(self):
+        """Row of the current observation in observation_table(level).reshape(-1, OBS_DIM)."""
+        x, y = self.agent_pos
+        return (y * self.level.width + x) * NUM_DIRECTIONS + self.agent_dir
 
     def _observe(self):
         x, y = self.agent_pos

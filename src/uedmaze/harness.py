@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .agent import PolicyNetwork, sample_actions
+from .agent import PolicyNetwork, PolicyTable
 from .config import RunConfig, dump_config, parse_config
 from .curriculum import CurriculumState, LogRow, Predictor, Student, TaskRecord, ued_step
 from .dynamics import DynamicsModel
@@ -151,22 +151,28 @@ def _load_level_file(text, origin):
 
 
 def run_episodes(policy, params, level, episodes, max_episode_steps, rng, greedy=False):
-    """Roll `episodes` independent episodes on one level; returns (solved, returns) arrays."""
+    """Roll `episodes` independent episodes on one level; returns (solved, returns) arrays.
+
+    Actions come from the level's PolicyTable; a sampled step draws one uniform per live
+    episode, greedy play draws nothing from rng.
+    """
+    table = PolicyTable(policy, params, level)
     envs = [MazeEnv(level, max_episode_steps) for _ in range(episodes)]
-    obs = np.stack([e.reset().vector() for e in envs])
+    for env in envs:
+        env.reset()
     live = list(range(episodes))
     returns = [0.0] * episodes
     solved = [False] * episodes
     while live:
-        actions, _, _ = sample_actions(policy, params, obs[live], rng, greedy)
+        uniforms = [None] * len(live) if greedy else rng.random(len(live)).tolist()
         still_live = []
-        for i, a in zip(live, actions):
-            o, r, done = envs[i].step(a)
+        for i, u in zip(live, uniforms):
+            env = envs[i]
+            _, r, done = env.step(table.act(env.state_index, u))
             returns[i] += r
             if done:
-                solved[i] = envs[i].agent_pos == level.goal_pos
+                solved[i] = env.agent_pos == level.goal_pos
             else:
-                obs[i] = o.vector()
                 still_live.append(i)
         live = still_live
     return np.array(solved), np.array(returns)

@@ -4,6 +4,7 @@ import pytest
 from uedmaze.agent import (
     PolicyArch,
     PolicyNetwork,
+    PolicyTable,
     PpoConfig,
     Trajectory,
     build_batch,
@@ -71,6 +72,30 @@ def test_sample_categorical_inverse_cdf():
     assert sample_categorical(probs, np.array([0.55])) == 1
     assert sample_categorical(probs, np.array([0.95]))[0] == 2
     assert sample_categorical(probs, np.array([1.0]))[0] == 2  # clamp at the top
+
+
+class FixedPolicy:
+    """The same action probabilities in every state."""
+
+    def __init__(self, probs):
+        self.logits = np.log(probs)
+
+    def forward(self, theta, obs):
+        return np.tile(self.logits, (len(obs), 1)), np.zeros(len(obs)), None
+
+
+def test_policy_table_samples_by_inverse_cdf():
+    probs = np.array([0.2, 0.3, 0.1, 0.1, 0.1, 0.1, 0.1])
+    level = generate_random_level(5, 5, 0, np.random.default_rng(0))
+    table = PolicyTable(FixedPolicy(probs), FlatParams(np.zeros(1)), level)
+    softmax = np.exp(log_softmax(np.log(probs)[None]))
+    cdf = np.cumsum(softmax, axis=1)[0, :-1].tolist()
+    assert table.cdf == [cdf] * (5 * 5 * 4)
+    for u in (0.1, cdf[0], 0.45, 0.95, np.nextafter(1.0, 0.0)):
+        assert table.act(0, u) == sample_categorical(softmax, np.array([u]))[0]  # the rollouts' sampler
+    assert table.act(0, cdf[0]) == 0  # the first action whose cumulative probability reaches u
+    assert table.act(0, np.nextafter(1.0, 0.0)) == 6  # the last action takes what the others leave
+    assert table.act(0) == 1  # greedy
 
 
 def test_rollout_structure_and_accounting():

@@ -214,8 +214,11 @@ def test_table_matches_reference_on_every_free_cell_and_facing(level):
 def test_random_actions_match_reference_stepped_alongside(level, actions):
     max_steps = 60
     env = MazeEnv(level, max_steps)
+    rows = observation_table(level).reshape(-1, OBS_DIM)  # indexed by env.state_index
     (x, y), facing = level.agent_pos, level.agent_dir
-    assert np.array_equal(env.reset().vector(), reference_observation(level, x, y, facing))
+    first = env.reset().vector()
+    assert np.array_equal(first, reference_observation(level, x, y, facing))
+    assert np.array_equal(rows[env.state_index], first)
     for t, action in enumerate(actions, start=1):
         if action == ACTION_LEFT:
             facing = (facing - 1) % 4
@@ -228,6 +231,7 @@ def test_random_actions_match_reference_stepped_alongside(level, actions):
         at_goal = (x, y) == level.goal_pos
         obs, reward, done = env.step(action)
         assert np.array_equal(obs.vector(), reference_observation(level, x, y, facing)), t
+        assert np.array_equal(rows[env.state_index], obs.vector()), t
         assert reward == (1.0 - t / max_steps if at_goal else 0.0)
         assert done == (at_goal or t >= max_steps)
         if done:
