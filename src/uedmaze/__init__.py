@@ -15,7 +15,7 @@ from .errors import ConfigError
 from .harness import emit_report, evaluate_policy, load_checkpoint, load_suite, make_components, run_experiment, save_checkpoint
 from .levels import Level, generate_random_level, load_level, mutate_level, parse_ascii, render_ascii, save_level, shortest_path_length
 from .oracle import verification_report
-from .scoring import RegretScore, approx_regret, average_transition_prediction_loss, positive_value_loss
+from .scoring import RegretScore, approx_regret
 
 __version__ = "0.1.0"
 
@@ -41,7 +41,6 @@ __all__ = [
     "TaskRecord",
     "Trajectory",
     "approx_regret",
-    "average_transition_prediction_loss",
     "collect_rollout",
     "compute_gae",
     "dump_config",
@@ -57,7 +56,6 @@ __all__ = [
     "mutate_level",
     "parse_ascii",
     "parse_config",
-    "positive_value_loss",
     "ppo_update",
     "render_ascii",
     "run_experiment",

@@ -235,8 +235,6 @@ def collect_rollout(policy: PolicyNetwork, params: FlatParams, levels, horizon, 
 
 @dataclass(frozen=True)
 class PpoConfig:
-    gamma: float = 0.995
-    gae_lambda: float = 0.95
     clip_range: float = 0.2
     epochs: int = 5
     minibatches: int = 1
@@ -272,7 +270,7 @@ class PpoBatch:
         return len(self.actions)
 
 
-def build_batch(trajs, normalize_advantages=True):
+def build_batch(trajs):
     """Concatenate trajectories into one PpoBatch (advantages normalized per batch)."""
     if not trajs:
         raise ValueError("no trajectories to build a batch from")
@@ -280,8 +278,7 @@ def build_batch(trajs, normalize_advantages=True):
         if traj.advantages is None:
             raise ValueError("run compute_gae on every trajectory first")
     adv = np.concatenate([t.advantages for t in trajs])
-    if normalize_advantages:
-        adv = (adv - adv.mean()) / (adv.std() + 1e-8)
+    adv = (adv - adv.mean()) / (adv.std() + 1e-8)
     return PpoBatch(
         obs=np.concatenate([t.observations[:-1] for t in trajs]),
         actions=np.concatenate([t.actions for t in trajs]),

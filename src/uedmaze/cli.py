@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .config import MODES, load_config, load_preset, validate_config
 from .errors import ConfigError
-from .harness import emit_report, evaluate_policy, load_checkpoint, load_suite, run_experiment
+from .harness import emit_report, evaluation_report, load_checkpoint, load_suite, run_experiment
 from .oracle import verification_report
 
 
@@ -48,26 +48,13 @@ def _cmd_run(args):
 
 
 def _cmd_evaluate(args):
-    import numpy as np
-
     cfg, student, _, update = load_checkpoint(args.checkpoint)
     suite = load_suite(args.suite or cfg.eval_suite)
     episodes = args.episodes or cfg.eval_episodes
-    rng = np.random.default_rng([args.seed, 7, update])
-    report = evaluate_policy(
-        student.policy,
-        student.params,
-        suite,
-        episodes,
-        cfg.max_episode_steps,
-        rng,
-        greedy=args.greedy,
-    )
-    report["update"] = update
-    text = json.dumps(report, indent=2, sort_keys=True)
+    _, text = evaluation_report(student, suite, episodes, cfg.max_episode_steps, args.seed, update, args.greedy)
     if args.out:
-        Path(args.out).write_text(text + "\n")
-    print(text)
+        Path(args.out).write_text(text)
+    print(text, end="")
     return 0
 
 

@@ -69,8 +69,6 @@ class RunConfig:
 
     def ppo(self) -> PpoConfig:
         return PpoConfig(
-            gamma=self.gamma,
-            gae_lambda=self.gae_lambda,
             clip_range=self.clip_range,
             epochs=self.ppo_epochs,
             minibatches=self.ppo_minibatches,

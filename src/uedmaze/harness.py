@@ -82,10 +82,10 @@ def run_experiment(cfg: RunConfig, out_dir):
                 writer.writerow(_row_cells(row))
             update = step + 1
             if cfg.eval_every and update % cfg.eval_every == 0 and update < cfg.total_updates:
-                _run_eval(cfg, student, suite, update, out)
+                _write_eval(cfg, student, suite, update, out / f"eval_{update:06d}.json")
             if cfg.checkpoint_every and update % cfg.checkpoint_every == 0 and update < cfg.total_updates:
                 save_checkpoint(out / f"checkpoint_{update:06d}.json", cfg, student, predictor, update)
-    final_eval = _run_eval(cfg, student, suite, cfg.total_updates, out, final=True)
+    final_eval = _write_eval(cfg, student, suite, cfg.total_updates, out / "eval_final.json")
     save_checkpoint(out / "checkpoint_final.json", cfg, student, predictor, cfg.total_updates)
     save_buffer_snapshot(out / "buffer.json", state)
     summary = {
@@ -106,21 +106,9 @@ def run_experiment(cfg: RunConfig, out_dir):
     return summary
 
 
-def _run_eval(cfg, student, suite, update, out, final=False):
-    rng = np.random.default_rng([cfg.seed, 7, update])
-    report = evaluate_policy(
-        student.policy,
-        student.params,
-        suite,
-        cfg.eval_episodes,
-        cfg.max_episode_steps,
-        rng,
-    )
-    report["update"] = update
-    name = "eval_final.json" if final else f"eval_{update:06d}.json"
-    with open(out / name, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _write_eval(cfg, student, suite, update, path):
+    report, text = evaluation_report(student, suite, cfg.eval_episodes, cfg.max_episode_steps, cfg.seed, update)
+    path.write_text(text)
     return report
 
 
@@ -176,6 +164,18 @@ def run_episodes(policy, params, level, episodes, max_episode_steps, rng, greedy
                 still_live.append(i)
         live = still_live
     return np.array(solved), np.array(returns)
+
+
+def evaluation_report(student, suite, episodes, max_episode_steps, seed, update, greedy=False):
+    """The eval report of a student at `update`, and its JSON text (sorted keys, 2-space indent).
+
+    Episodes draw from a generator seeded with [seed, 7, update], so `uedmaze evaluate
+    --seed S` on a checkpoint repeats the eval file a seed-S run wrote at that update.
+    """
+    rng = np.random.default_rng([seed, 7, update])
+    report = evaluate_policy(student.policy, student.params, suite, episodes, max_episode_steps, rng, greedy)
+    report["update"] = update
+    return report, json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def evaluate_policy(policy, params, suite, episodes, max_episode_steps, rng, greedy=False):

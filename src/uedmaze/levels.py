@@ -75,15 +75,6 @@ class Level:
             return 0 <= x < self.width and 0 <= y < self.height
         return (x, y) in self.walls
 
-    def free_interior_cells(self):
-        """Interior non-wall cells in row-major order."""
-        return [
-            (x, y)
-            for y in range(1, self.height - 1)
-            for x in range(1, self.width - 1)
-            if (x, y) not in self.walls
-        ]
-
 
 @dataclass(frozen=True)
 class LevelMetrics:

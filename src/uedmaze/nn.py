@@ -172,9 +172,6 @@ class FlatParams:
         if self.adam_v is None:
             self.adam_v = np.zeros_like(self.theta)
 
-    def copy(self):
-        return FlatParams(self.theta.copy(), self.adam_m.copy(), self.adam_v.copy(), self.adam_step)
-
 
 def clip_grad_norm(grad, max_norm):
     """Scale grad down to global L2 norm max_norm; no-op when already within."""

@@ -1,13 +1,15 @@
 """Regret estimators used to score levels.
 
-Two trajectory-level signals combine into the score a level is ranked by:
+Two signals combine into the score a level is ranked by. Each is averaged
+over every step of a rollout wave (all trajectories one rollout collected on
+the level), so a long trajectory weighs more than a short one:
 
 - positive value loss: the average positive part of the GAE advantages (the
   lambda-discounted TD-error sums), measuring how much better than its own
   value estimate the agent just did;
 - average transition prediction loss: the mean per-step L1 error of the
-  learned dynamics model along the trajectory, measuring how unfamiliar the
-  level's transitions are.
+  learned dynamics model, measuring how unfamiliar the level's transitions
+  are.
 
 combined = pvl + alpha * atpl. Scoring never mutates parameters or
 trajectories: it reads the cached advantages that compute_gae wrote.
@@ -30,11 +32,6 @@ class RegretScore:
     combined: float
 
 
-def positive_value_loss(traj):
-    """Mean positive part of the GAE advantages, which compute_gae must have filled."""
-    return _positive_advantage_sum(traj) / len(traj.advantages)
-
-
 def _positive_advantage_sum(traj):
     """Sum of the positive advantages, accumulated last step first, as GAE produces them."""
     if traj.advantages is None:
@@ -54,14 +51,6 @@ def positive_value_loss_many(trajs):
         raise ValueError("no trajectories")
     totals = [_positive_advantage_sum(t) for t in trajs]
     return float(sum(totals)) / sum(len(t.advantages) for t in trajs)
-
-
-def average_transition_prediction_loss(traj, model, theta):
-    """Mean per-step transition L1 along one trajectory."""
-    obs, act, nxt = trajectory_transitions(traj)
-    pred = model.predict(theta, obs, act)
-    per_step = np.abs(pred - nxt).mean(axis=1)
-    return float(per_step.mean())
 
 
 def average_transition_prediction_loss_many(trajs, model, theta):

@@ -5,8 +5,14 @@ Every test prints a single line
     ACCEPTANCE <n> <PASS|FAIL> - <detail>
 
 before asserting, so `pytest tests/test_acceptance.py -s` doubles as a
-human-readable report. Checks 1-9 and 11 are exact or tightly seeded; check 10
-is a directional desk-scale training experiment (a few minutes of CPU).
+human-readable report. Checks 1 and 3-9 and 11 are exact or tightly seeded;
+check 10 is a directional desk-scale training experiment (a few minutes of CPU).
+
+Check 2, the regret decomposition identity on random tabular MDPs, is retired
+and its number left unused, so the other checks keep the numbers the project's
+notes cite. Its identity held by algebra (both sides equal
+gamma * (P v* - P_hat v_hat)), so it tested only its own value iteration and
+no code the design loop runs.
 """
 
 import csv
@@ -36,15 +42,12 @@ from uedmaze.levels import generate_random_level, level_metrics
 from uedmaze.oracle import (
     check_dynamics_gradient,
     check_policy_gradient,
-    decomposition_check,
     naive_gae,
     naive_pvl,
     naive_transition_loss,
-    random_mdp,
     staleness_floor,
-    value_iteration,
 )
-from uedmaze.scoring import approx_regret, average_transition_prediction_loss, positive_value_loss
+from uedmaze.scoring import approx_regret, average_transition_prediction_loss_many, positive_value_loss_many
 
 
 def _report(n, ok, detail):
@@ -113,30 +116,12 @@ def test_01_gae_and_pvl_match_naive_quadratic_oracle():
         lam = float(rng.uniform(0.0, 1.0))
         traj = make_traj(rng.normal(size=n), rng.normal(size=n + 1), gamma, lam)
         gae_err = float(np.max(np.abs(traj.advantages - naive_gae(traj.td_errors, gamma, lam))))
-        pvl_err = abs(positive_value_loss(traj) - naive_pvl(traj.td_errors, gamma, lam))
+        pvl_err = abs(positive_value_loss_many([traj]) - naive_pvl(traj.td_errors, gamma, lam))
         worst = max(worst, gae_err, pvl_err)
-    hand = positive_value_loss(make_traj([1.0, -2.0, 0.5], [0.0] * 4))
+    hand = positive_value_loss_many([make_traj([1.0, -2.0, 0.5], [0.0] * 4)])
     elapsed = time.monotonic() - start
     ok = worst < 1e-10 and abs(hand - 0.5 / 3) < 1e-15 and elapsed < 1.0
     _report(1, ok, f"max abs err {worst:.2e} over 100 trajectories; hand case {hand:.10f}; {elapsed:.2f}s")
-
-
-def test_02_regret_decomposition_identity_on_random_mdps():
-    start = time.monotonic()
-    rng = np.random.default_rng(202)
-    worst = 0.0
-    for _ in range(100):
-        mdp = random_mdp(rng, max_states=6, max_actions=3)
-        q_star = value_iteration(mdp, "true")
-        q_hat = value_iteration(mdp, "empirical")
-        n_states, n_actions = mdp.R.shape
-        for s in range(n_states):
-            for a in range(n_actions):
-                rep = decomposition_check(mdp, s, a, q_star=q_star, q_hat=q_hat)
-                worst = max(worst, rep.residual)
-    elapsed = time.monotonic() - start
-    ok = worst < 1e-9 and elapsed < 5.0
-    _report(2, ok, f"max residual {worst:.2e} over 100 MDPs, every (s, a); {elapsed:.2f}s")
 
 
 class _PerfectModel:
@@ -155,20 +140,24 @@ def test_03_atpl_matches_per_step_loop_oracle():
     theta = model.init_params(rng).theta
     worst = 0.0
     for _ in range(100):
-        n = int(rng.integers(1, 25))
-        obs = rng.random((n + 1, OBS_DIM))
-        traj = make_traj(rng.normal(size=n), rng.normal(size=n + 1), observations=obs)
-        traj.actions[:] = rng.integers(0, NUM_ACTIONS, size=n)
-        fast = average_transition_prediction_loss(traj, model, theta)
+        wave = []
+        for _ in range(int(rng.integers(1, 7))):
+            n = int(rng.integers(1, 25))
+            obs = rng.random((n + 1, OBS_DIM))
+            traj = make_traj(rng.normal(size=n), rng.normal(size=n + 1), observations=obs)
+            traj.actions[:] = rng.integers(0, NUM_ACTIONS, size=n)
+            wave.append(traj)
+        fast = average_transition_prediction_loss_many(wave, model, theta)
         total = 0.0
-        for t in range(n):
-            pred = model.predict(theta, traj.observations[t : t + 1], np.eye(NUM_ACTIONS)[traj.actions[t : t + 1]])
-            total += naive_transition_loss(pred[0], traj.observations[t + 1])
-        worst = max(worst, abs(fast - total / n))
+        for traj in wave:
+            for t in range(traj.length):
+                pred = model.predict(theta, traj.observations[t : t + 1], np.eye(NUM_ACTIONS)[traj.actions[t : t + 1]])
+                total += naive_transition_loss(pred[0], traj.observations[t + 1])
+        worst = max(worst, abs(fast - total / sum(traj.length for traj in wave)))
     perfect_traj = make_traj(np.zeros(7), np.zeros(8), observations=np.random.default_rng(9).random((8, OBS_DIM)))
-    perfect = average_transition_prediction_loss(perfect_traj, _PerfectModel(perfect_traj), theta=None)
+    perfect = average_transition_prediction_loss_many([perfect_traj], _PerfectModel(perfect_traj), theta=None)
     ok = worst < 1e-12 and perfect == 0.0
-    _report(3, ok, f"max abs err {worst:.2e} over 100 trajectories; perfect predictor gives {perfect!r}")
+    _report(3, ok, f"max abs err {worst:.2e} over 100 waves of 1-6 trajectories; perfect predictor gives {perfect!r}")
 
 
 def test_04_combined_score_linearity_and_accel_reduction():
@@ -189,13 +178,14 @@ def test_04_combined_score_linearity_and_accel_reduction():
     model = DynamicsModel(DynamicsArch(hidden=(12,)))
     theta = model.init_params(np.random.default_rng(7)).theta
     for traj in trajs:
-        traj = compute_gae(traj, 0.995, 0.95)
-        pvl = positive_value_loss(traj)
-        atpl = average_transition_prediction_loss(traj, model, theta)
+        compute_gae(traj, 0.995, 0.95)
+    for wave in [[traj] for traj in trajs] + [trajs]:
+        pvl = positive_value_loss_many(wave)
+        atpl = average_transition_prediction_loss_many(wave, model, theta)
         exact = exact and approx_regret(pvl, atpl, 0.0).combined == pvl
     accel_alpha, accel_beta, accel_mutates = mode_settings("accel", SMALL)
     ok = exact and accel_alpha == 0.0 and accel_beta == 0.0 and accel_mutates
-    _report(4, ok, f"combined == pvl + alpha*atpl bit-exact on 200 triples + {len(trajs)} rollout trajectories; "
+    _report(4, ok, f"combined == pvl + alpha*atpl bit-exact on 200 triples + {len(trajs)} rollout trajectories and their wave; "
                    f"accel mode wires alpha={accel_alpha}, beta={accel_beta}")
 
 

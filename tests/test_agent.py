@@ -15,6 +15,7 @@ from uedmaze.agent import (
     ppo_update,
     sample_categorical,
 )
+from uedmaze.config import RunConfig
 from uedmaze.env import NUM_ACTIONS, OBS_DIM, MazeEnv, observation_table
 from uedmaze.levels import Level, generate_random_level
 from uedmaze.nn import FlatParams
@@ -173,6 +174,13 @@ def test_policy_gradient_matches_finite_differences():
     assert ok, detail
 
 
+@pytest.mark.parametrize("value_clipping", [True, False])
+@pytest.mark.parametrize("entropy_coef", [0.0, 0.01])
+def test_policy_gradient_matches_finite_differences_on_every_loss_branch(entropy_coef, value_clipping):
+    ok, detail = check_policy_gradient(np.random.default_rng(81), entropy_coef=entropy_coef, value_clipping=value_clipping)
+    assert ok, detail
+
+
 def test_ppo_single_step_descends():
     policy = PolicyNetwork(TINY)
     params = policy.init_params(np.random.default_rng(9))
@@ -180,8 +188,9 @@ def test_ppo_single_step_descends():
     levels = [generate_random_level(7, 7, 4, rng) for _ in range(2)]
     cfg = PpoConfig(epochs=1, minibatches=1, learning_rate=3e-3, entropy_coef=0.0)
     trajs = collect_rollout(policy, params, levels, 64, 20, rng)
+    run = RunConfig()
     for t in trajs:
-        compute_gae(t, cfg.gamma, cfg.gae_lambda)
+        compute_gae(t, run.gamma, run.gae_lambda)
     batch = build_batch(trajs)
     loss_before, _, _ = ppo_loss_and_grad(policy, params.theta, batch, cfg)
     new_params, stats = ppo_update(policy, params, trajs, cfg, np.random.default_rng(11))

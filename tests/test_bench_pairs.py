@@ -1,0 +1,62 @@
+"""The statistics tools/bench_pairs.py reports, on hand-made pairs of runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+SPECS = {
+    "run_s": {"name": "run_s", "better": "lower", "bound": 0.25},
+    "env_steps_per_s": {"name": "env_steps_per_s", "better": "higher", "bound": 0.25},
+    "env.step_s": {"name": "env.step_s", "better": "lower"},
+}
+
+
+def pairs_of(metric, parent, change):
+    return [({"metrics": {metric: {"value": p}}}, {"metrics": {metric: {"value": c}}}) for p, c in zip(parent, change)]
+
+
+@pytest.mark.parametrize(
+    "metric, parent, change, verdict",
+    [
+        # medians 1.0 and 1.1: 10% slower, within the 25% bound, tight runs
+        pytest.param("run_s", [1.0, 0.98, 1.02, 0.99, 1.01], [1.1, 1.08, 1.12, 1.09, 1.11], "ok", id="within-bound"),
+        pytest.param("run_s", [1.0, 0.98, 1.02, 0.99, 1.01], [1.4, 1.38, 1.42, 1.39, 1.41], "worse", id="40pc-slower"),
+        # the medians agree, but the parent's quartiles sit 80% of its median apart
+        pytest.param("run_s", [1.0, 0.5, 1.5, 0.6, 1.4], [1.0, 0.98, 1.02, 0.99, 1.01], "unresolved", id="wide-spread"),
+        pytest.param("run_s", [1.0, 0.5, 1.5, 0.6, 1.4], [0.4, 0.38, 0.42, 0.39, 0.41], "ok", id="wide-but-every-run-better"),
+        # higher is better: 40% fewer steps per second is worse, 40% more is fine
+        pytest.param("env_steps_per_s", [100.0, 99.0, 101.0, 100.0, 100.0], [60.0, 59.0, 61.0, 60.0, 60.0], "worse",
+                     id="higher-better-40pc-fewer"),
+        pytest.param("env_steps_per_s", [100.0, 99.0, 101.0, 100.0, 100.0], [140.0, 139.0, 141.0, 140.0, 140.0], "ok",
+                     id="higher-better-40pc-more"),
+    ],
+)
+def test_no_regression_verdict(metric, parent, change, verdict):
+    entry = bench_pairs.summarize(pairs_of(metric, parent, change), SPECS)[metric]
+    assert entry["verdict"] == verdict
+    assert entry["bound"] == 0.25
+
+
+def test_gain_needs_nine_tenths_of_pairs_and_a_median_gap_beyond_the_parent_iqr():
+    parent = [1.0 + 0.01 * k for k in range(10)]
+    faster = [0.5 + 0.01 * k for k in range(10)]
+    entry = bench_pairs.summarize(pairs_of("run_s", parent, faster), SPECS)["run_s"]
+    assert entry["change_wins"] == 10 and entry["gain_holds"] is True
+    two_losses = faster[:8] + [2.0, 2.0]
+    entry = bench_pairs.summarize(pairs_of("run_s", parent, two_losses), SPECS)["run_s"]
+    assert entry["change_wins"] == 8 and entry["gain_holds"] is False
+
+
+def test_metrics_without_a_bound_or_a_direction_get_no_verdict():
+    summary = bench_pairs.summarize(
+        pairs_of("env.step_s", [1.0, 1.0], [5.0, 5.0]) + pairs_of("unlisted", [1.0, 1.0], [2.0, 2.0]), SPECS
+    )
+    assert "verdict" not in summary["env.step_s"] and summary["env.step_s"]["better"] == "lower"
+    assert "verdict" not in summary["unlisted"] and "better" not in summary["unlisted"]
+    assert summary["unlisted"]["change_over_parent"] == 2.0

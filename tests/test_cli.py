@@ -297,6 +297,18 @@ def test_cli_evaluate_reads_checkpoints(tmp_path, capsys):
     assert set(report["levels"]) == {n for n, _ in load_suite("desk11")}
 
 
+def test_cli_evaluate_repeats_the_runs_final_eval_file(tmp_path, capsys):
+    cfg_path = tmp_path / "micro.ini"
+    cfg_path.write_text(dump_config(micro_config(seed=4, eval_episodes=2)))
+    out = tmp_path / "run"
+    main(["run", "--config", str(cfg_path), "--out", str(out), "--updates", "3"])
+    report_path = tmp_path / "eval.json"
+    checkpoint = str(out / "checkpoint_final.json")
+    assert main(["evaluate", "--checkpoint", checkpoint, "--seed", "4", "--out", str(report_path)]) == 0
+    assert capsys.readouterr().out.endswith(report_path.read_text())
+    assert report_path.read_bytes() == (out / "eval_final.json").read_bytes()
+
+
 def test_cli_bad_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text("[run]\nmode = bogus\n")
@@ -309,8 +321,8 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
 def test_cli_verify_passes(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out
-    assert "all 7 checks passed" in out
-    assert out.count("PASS") == 7
+    assert "all 6 checks passed" in out
+    assert out.count("PASS") == 6
 
 
 def test_cli_verify_fails_on_broken_oracle(monkeypatch, capsys):

@@ -5,12 +5,7 @@ from uedmaze.agent import Trajectory, compute_gae
 from uedmaze.dynamics import DynamicsArch, DynamicsModel
 from uedmaze.env import NUM_ACTIONS, OBS_DIM
 from uedmaze.oracle import naive_pvl
-from uedmaze.scoring import (
-    approx_regret,
-    average_transition_prediction_loss,
-    positive_value_loss,
-    positive_value_loss_many,
-)
+from uedmaze.scoring import approx_regret, average_transition_prediction_loss_many, positive_value_loss_many
 
 
 def make_traj(rewards, values, gamma=1.0, lam=1.0, observations=None):
@@ -28,18 +23,20 @@ def make_traj(rewards, values, gamma=1.0, lam=1.0, observations=None):
 
 def test_pvl_hand_case():
     traj = make_traj([1.0, -2.0, 0.5], [0.0] * 4)
-    assert positive_value_loss(traj) == pytest.approx(0.5 / 3, abs=1e-15)
+    assert positive_value_loss_many([traj]) == pytest.approx(0.5 / 3, abs=1e-15)
 
 
 def test_pvl_matches_naive_oracle():
     rng = np.random.default_rng(0)
     for _ in range(100):
-        n = int(rng.integers(1, 50))
         gamma = float(rng.uniform(0.5, 1.0))
         lam = float(rng.uniform(0.0, 1.0))
-        traj = make_traj(rng.normal(size=n), rng.normal(size=n + 1), gamma=gamma, lam=lam)
-        fast = positive_value_loss(traj)
-        slow = naive_pvl(traj.td_errors, gamma, lam)
+        wave = []
+        for _ in range(int(rng.integers(1, 7))):
+            n = int(rng.integers(1, 50))
+            wave.append(make_traj(rng.normal(size=n), rng.normal(size=n + 1), gamma=gamma, lam=lam))
+        fast = positive_value_loss_many(wave)
+        slow = sum(naive_pvl(t.td_errors, gamma, lam) * t.length for t in wave) / sum(t.length for t in wave)
         assert abs(fast - slow) < 1e-10
 
 
@@ -53,7 +50,7 @@ def test_pvl_requires_gae():
         terminal=True,
     )
     with pytest.raises(ValueError):
-        positive_value_loss(traj)
+        positive_value_loss_many([traj])
 
 
 def test_pvl_reads_the_cached_advantages():
@@ -69,12 +66,9 @@ def test_pvl_reads_the_cached_advantages():
         advantages=advantages,
     )
     assert traj.td_errors is None
-    assert positive_value_loss(traj) == (1e-16 + 1e-16 + 1.0) / 5
     assert positive_value_loss_many([traj]) == (1e-16 + 1e-16 + 1.0) / 5
     assert (1e-16 + 1e-16 + 1.0) != (1.0 + 1e-16 + 1e-16)
     traj.advantages = None
-    with pytest.raises(ValueError):
-        positive_value_loss(traj)
     with pytest.raises(ValueError):
         positive_value_loss_many([traj])
 
@@ -100,7 +94,7 @@ def test_atpl_perfect_predictor_is_zero():
     n = 6
     obs = np.random.default_rng(2).random((n + 1, OBS_DIM))
     traj = make_traj(np.zeros(n), np.zeros(n + 1), observations=obs)
-    assert average_transition_prediction_loss(traj, PerfectModel(traj), theta=None) == 0.0
+    assert average_transition_prediction_loss_many([traj], PerfectModel(traj), theta=None) == 0.0
 
 
 def test_atpl_positive_for_imperfect_model():
@@ -109,7 +103,20 @@ def test_atpl_positive_for_imperfect_model():
     n = 6
     obs = np.random.default_rng(2).random((n + 1, OBS_DIM))
     traj = make_traj(np.zeros(n), np.zeros(n + 1), observations=obs)
-    assert average_transition_prediction_loss(traj, model, theta) > 0.0
+    assert average_transition_prediction_loss_many([traj], model, theta) > 0.0
+
+
+class ZeroModel:
+    """Predicts an all-zero next observation, so a step's loss is the mean of the actual one."""
+
+    def predict(self, theta, obs, act):
+        return np.zeros_like(obs)
+
+
+def test_atpl_many_is_step_weighted():
+    a = make_traj(np.zeros(3), np.zeros(4))  # 3 steps, loss 0 each
+    b = make_traj(np.zeros(1), np.zeros(2), observations=np.ones((2, OBS_DIM)))  # 1 step, loss 1
+    assert average_transition_prediction_loss_many([a, b], ZeroModel(), theta=None) == 1.0 / 4
 
 
 def test_combined_score_is_bit_exact_linear():

@@ -10,10 +10,20 @@ odd ones. Each run's JSON line is appended to --out as
 metric, each side's median and quartiles, the change's wins (ties count for
 neither side) and whether a gain claim would hold: the change wins at least
 nine tenths of the pairs and its median beats the parent's by more than the
-parent's interquartile range. The last line of standard output is that
-summary as JSON. Whether lower or higher is better comes from the change's
-BENCHMARK.json; a metric it does not list is reported without a verdict.
-Exits 1 if any run failed or reported "correct": false.
+parent's interquartile range. Each metric with a bound (the end-to-end
+ones) also gets a no-regression verdict:
+
+    worse       the change's median is worse than the parent's by more than
+                the bound, a fraction of the parent's median;
+    unresolved  otherwise, when either side's interquartile range, as a
+                fraction of the parent's median, is wider than the bound,
+                unless every change run beats every parent run;
+    ok          otherwise.
+
+The last line of standard output is that summary as JSON. Directions and
+bounds come from the change's BENCHMARK.json; a metric it does not list is
+reported without a gain or a verdict. Exits 1 if any run failed or reported
+"correct": false.
 """
 
 import argparse
@@ -51,9 +61,10 @@ def run_once(checkout, workload, seed, seconds, trace):
     return result
 
 
-def directions(checkout):
+def metric_specs(checkout):
+    """{name: {"better", "bound"?, ...}} for every metric the checkout's BENCHMARK.json lists."""
     spec = json.loads((checkout / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
+    return {m["name"]: m for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
 
 
 def quartiles(values):
@@ -63,7 +74,19 @@ def quartiles(values):
     return [q1, q3]
 
 
-def summarize(pairs, better):
+def no_regression_verdict(parent, change, sign, bound):
+    """"ok", "worse" or "unresolved" for one metric; sign is +1 when higher is better, -1 when lower is."""
+    scale = abs(statistics.median(parent))
+    if scale == 0:
+        return "unresolved"
+    if sign * (statistics.median(parent) - statistics.median(change)) / scale > bound:
+        return "worse"
+    every_run_better = min(sign * c for c in change) > max(sign * p for p in parent)
+    spread = max(quartiles(side)[1] - quartiles(side)[0] for side in (parent, change)) / scale
+    return "unresolved" if spread > bound and not every_run_better else "ok"
+
+
+def summarize(pairs, specs):
     """{metric: statistics} over the pairs in which both sides report the metric."""
     names = sorted({name for p, c in pairs for name in p["metrics"]} & {name for p, c in pairs for name in c["metrics"]})
     summary = {}
@@ -82,13 +105,17 @@ def summarize(pairs, better):
             "change_q1_q3": quartiles(change),
             "parent_iqr": parent_iqr,
         }
-        direction = better.get(name)
+        spec = specs.get(name, {})
+        direction = spec.get("better")
         if direction in ("lower", "higher"):
             sign = 1.0 if direction == "higher" else -1.0
             wins = sum(sign * (c - p) > 0 for p, c in both)
             entry["better"] = direction
             entry["change_wins"] = wins
             entry["gain_holds"] = wins >= 0.9 * len(both) and sign * (change_median - parent_median) > parent_iqr
+            if "bound" in spec:
+                entry["bound"] = spec["bound"]
+                entry["verdict"] = no_regression_verdict(parent, change, sign, spec["bound"])
         summary[name] = entry
     return summary
 
@@ -110,13 +137,14 @@ def main():
                     fh.write(json.dumps(line) + "\n")
         if results["parent"] is not None and results["change"] is not None:
             pairs.append((results["parent"], results["change"]))
-    summary = summarize(pairs, directions(args.change)) if pairs else {}
+    summary = summarize(pairs, metric_specs(args.change)) if pairs else {}
     print(f"{args.workload}: {len(pairs)} pairs, seeds {args.seeds}")
-    print(f"{'metric':<28}{'parent median [q1, q3]':>36}{'change median [q1, q3]':>36}{'wins':>7}  gain")
+    print(f"{'metric':<28}{'parent median [q1, q3]':>36}{'change median [q1, q3]':>36}{'wins':>7}  gain   verdict")
     for name, s in summary.items():
         p = f"{s['parent_median']:.6g} [{s['parent_q1_q3'][0]:.6g}, {s['parent_q1_q3'][1]:.6g}]"
         c = f"{s['change_median']:.6g} [{s['change_q1_q3'][0]:.6g}, {s['change_q1_q3'][1]:.6g}]"
-        print(f"{name:<28}{p:>36}{c:>36}{s.get('change_wins', '-'):>7}  {s.get('gain_holds', '-')}")
+        gain = str(s.get("gain_holds", "-"))
+        print(f"{name:<28}{p:>36}{c:>36}{s.get('change_wins', '-'):>7}  {gain:<6} {s.get('verdict', '-')}")
     print(json.dumps({"workload": args.workload, "trace": args.trace, "pairs": len(pairs), "seeds": args.seeds,
                       "all_correct": not failed, "metrics": summary}))
     return 1 if failed else 0
