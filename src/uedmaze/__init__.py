@@ -6,10 +6,10 @@ prediction errors, and prioritizes tasks whose replay historically helped
 the rest of the buffer.
 """
 
-from .agent import PolicyArch, PolicyNetwork, PpoConfig, Trajectory, collect_rollout, compute_gae, ppo_update
+from .agent import PolicyArch, PolicyNetwork, Trajectory, collect_rollout, compute_gae, ppo_update
 from .config import MODES, RunConfig, dump_config, load_config, load_preset, parse_config, validate_config
 from .curriculum import CurriculumState, Predictor, Student, TaskRecord, task_priority_distribution, ued_step
-from .dynamics import DynamicsArch, DynamicsModel, DynamicsTrainConfig, train_dynamics, transition_loss
+from .dynamics import DynamicsArch, DynamicsModel, train_dynamics, transition_loss
 from .env import MazeEnv, NUM_ACTIONS, OBS_DIM, Observation
 from .errors import ConfigError
 from .harness import emit_report, evaluate_policy, load_checkpoint, load_suite, make_components, run_experiment, save_checkpoint
@@ -24,7 +24,6 @@ __all__ = [
     "ConfigError",
     "DynamicsArch",
     "DynamicsModel",
-    "DynamicsTrainConfig",
     "Level",
     "MODES",
     "MazeEnv",
@@ -33,7 +32,6 @@ __all__ = [
     "Observation",
     "PolicyArch",
     "PolicyNetwork",
-    "PpoConfig",
     "Predictor",
     "RegretScore",
     "RunConfig",

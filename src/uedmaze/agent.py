@@ -12,7 +12,7 @@ one per level and steps by PolicyTable lookups.
 
 All updates are functional: ppo_update returns a fresh parameter object and
 never touches its input, which keeps no-gradient scoring rollouts trivially
-safe to interleave with training.
+safe to interleave with training. PPO reads its settings off the RunConfig.
 
 Workspace contract (see uedmaze.nn): a PolicyNetwork reuses its hidden
 activations and trunk input across forwards. Logits and values are fresh
@@ -149,10 +149,6 @@ class Trajectory:
     def length(self):
         return len(self.actions)
 
-    @property
-    def episode_return(self):
-        return float(self.rewards.sum())
-
 
 def compute_gae(traj: Trajectory, gamma, lam):
     """Fill td_errors, advantages (reverse recursion), and returns; returns traj."""
@@ -233,19 +229,6 @@ def collect_rollout(policy: PolicyNetwork, params: FlatParams, levels, horizon, 
     return [traj for per_env in done_trajs for traj in per_env]
 
 
-@dataclass(frozen=True)
-class PpoConfig:
-    clip_range: float = 0.2
-    epochs: int = 5
-    minibatches: int = 1
-    learning_rate: float = 1e-4
-    adam_eps: float = 1e-5
-    max_grad_norm: float = 0.5
-    value_loss_coef: float = 0.5
-    entropy_coef: float = 0.0
-    value_clipping: bool = True
-
-
 @dataclass
 class PpoBatch:
     """Flattened step data; advantages are already normalized."""
@@ -289,8 +272,8 @@ def build_batch(trajs):
     )
 
 
-def ppo_loss_and_grad(policy, theta, batch: PpoBatch, cfg: PpoConfig):
-    """Clipped-surrogate loss with clipped value term; returns (loss, grad, stats).
+def ppo_loss_and_grad(policy, theta, batch: PpoBatch, cfg):
+    """Clipped-surrogate loss with clipped value term under RunConfig cfg; returns (loss, grad, stats).
 
     loss = -mean(min(ratio A, clip(ratio) A))
            + value_coef * 0.5 * mean(max((v - R)^2, (v_clip - R)^2))
@@ -338,8 +321,8 @@ def ppo_loss_and_grad(policy, theta, batch: PpoBatch, cfg: PpoConfig):
     return float(loss), grad, stats
 
 
-def ppo_update(policy, params: FlatParams, trajs, cfg: PpoConfig, rng):
-    """Run the full PPO epoch schedule on the given trajectories.
+def ppo_update(policy, params: FlatParams, trajs, cfg, rng):
+    """Run cfg's PPO epoch schedule (a RunConfig) on the given trajectories.
 
     Returns (new_params, stats). A non-finite loss or gradient aborts the
     update: the returned parameters are the unmodified input and
@@ -349,15 +332,15 @@ def ppo_update(policy, params: FlatParams, trajs, cfg: PpoConfig, rng):
     shuffled = PpoBatch(*(np.empty_like(a) for a in batch.arrays()))
     new_params = params
     stats = {"aborted": False, "num_steps": len(batch), "grad_norm": 0.0}
-    for _ in range(cfg.epochs):
+    for _ in range(cfg.ppo_epochs):
         order = rng.permutation(len(batch))
-        for idx in np.array_split(order, cfg.minibatches):
+        for idx in np.array_split(order, cfg.ppo_minibatches):
             if len(idx) == 0:
                 continue
             loss, grad, step_stats = ppo_loss_and_grad(policy, new_params.theta, batch.take(idx, shuffled), cfg)
             if not (np.isfinite(loss) and np.all(np.isfinite(grad))):
                 return params, {**stats, **step_stats, "aborted": True, "loss": float(loss)}
             grad, norm = clip_grad_norm(grad, cfg.max_grad_norm)
-            new_params = adam_step(new_params, grad, cfg.learning_rate, cfg.adam_eps)
+            new_params = adam_step(new_params, grad, cfg.adam_learning_rate, cfg.adam_eps)
             stats.update(step_stats, loss=loss, grad_norm=norm)
     return new_params, stats

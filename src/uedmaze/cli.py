@@ -5,7 +5,7 @@
     uedmaze report runs/demo
     uedmaze verify
 
-Exit codes: 0 success, 1 failed verification, 2 configuration error.
+Exit codes: 0 success, 1 failed verification, 2 bad input (config, checkpoint or argument).
 """
 
 from __future__ import annotations
@@ -20,6 +20,14 @@ from .config import MODES, load_config, load_preset, validate_config
 from .errors import ConfigError
 from .harness import emit_report, evaluation_report, load_checkpoint, load_suite, run_experiment
 from .oracle import verification_report
+
+
+def count(text):
+    """argparse type: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _resolve_config(spec):
@@ -48,7 +56,10 @@ def _cmd_run(args):
 
 
 def _cmd_evaluate(args):
-    cfg, student, _, update = load_checkpoint(args.checkpoint)
+    try:
+        cfg, student, _, update = load_checkpoint(args.checkpoint)
+    except (OSError, KeyError, ValueError) as exc:
+        raise ConfigError(f"cannot load checkpoint {args.checkpoint}: {exc!r}") from exc
     suite = load_suite(args.suite or cfg.eval_suite)
     episodes = args.episodes or cfg.eval_episodes
     _, text = evaluation_report(student, suite, episodes, cfg.max_episode_steps, args.seed, update, args.greedy)
@@ -93,7 +104,7 @@ def build_parser():
     p_eval = sub.add_parser("evaluate", help="evaluate a checkpoint on a held-out suite")
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--suite", default=None, help="suite name or directory (default: from checkpoint config)")
-    p_eval.add_argument("--episodes", type=int, default=None)
+    p_eval.add_argument("--episodes", type=count, default=None, help="episodes per level (default: from checkpoint config)")
     p_eval.add_argument("--seed", type=int, default=0)
     p_eval.add_argument("--greedy", action="store_true", help="take argmax actions instead of sampling")
     p_eval.add_argument("--out", default=None, help="also write the JSON report to this path")
@@ -101,7 +112,7 @@ def build_parser():
 
     p_report = sub.add_parser("report", help="digest a run directory into CSV/SVG series")
     p_report.add_argument("run_dir")
-    p_report.add_argument("--window", type=int, default=None, help="updates per aggregation window")
+    p_report.add_argument("--window", type=count, default=None, help="updates per aggregation window")
     p_report.set_defaults(func=_cmd_report)
 
     p_verify = sub.add_parser("verify", help="run the built-in numerical cross-checks")

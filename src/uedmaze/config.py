@@ -3,6 +3,9 @@
 parse_config and dump_config round-trip exactly (floats via repr), so a config
 can be archived with its run and re-parsed bit-identically. Validation reports
 the section.key of the first offending field.
+
+RunConfig is the one configuration object the loop reads: ppo_update,
+train_dynamics and the teacher take it whole and read its fields by name.
 """
 
 from __future__ import annotations
@@ -13,8 +16,8 @@ import math
 from dataclasses import dataclass, fields
 from importlib import resources
 
-from .agent import PolicyArch, PpoConfig
-from .dynamics import DynamicsArch, DynamicsTrainConfig
+from .agent import PolicyArch
+from .dynamics import DynamicsArch
 from .errors import ConfigError
 
 MODES = ("traced", "accel", "plr", "dr", "traced-no-atpl", "traced-no-cl")
@@ -67,19 +70,6 @@ class RunConfig:
     temperature: float = 0.3
     staleness_coef: float = 0.3
 
-    def ppo(self) -> PpoConfig:
-        return PpoConfig(
-            clip_range=self.clip_range,
-            epochs=self.ppo_epochs,
-            minibatches=self.ppo_minibatches,
-            learning_rate=self.adam_learning_rate,
-            adam_eps=self.adam_eps,
-            max_grad_norm=self.max_grad_norm,
-            value_loss_coef=self.value_loss_coef,
-            entropy_coef=self.entropy_coef,
-            value_clipping=self.value_clipping,
-        )
-
     def policy_arch(self) -> PolicyArch:
         return PolicyArch(
             dir_embed_dim=self.dir_embed_dim,
@@ -89,13 +79,6 @@ class RunConfig:
 
     def dynamics_arch(self) -> DynamicsArch:
         return DynamicsArch(hidden=self.dynamics_hidden)
-
-    def dynamics_train(self) -> DynamicsTrainConfig:
-        return DynamicsTrainConfig(
-            learning_rate=self.dynamics_learning_rate,
-            adam_eps=self.adam_eps,
-            max_grad_norm=self.max_grad_norm,
-        )
 
 
 SECTIONS = {

@@ -12,6 +12,8 @@ Task difficulty is the latest entry of the task's score history; priority is
 difficulty + beta * co-learnability passed through a rank transform and mixed
 with a staleness distribution. The student's parameters change only inside
 the replay branch.
+
+Every setting, the teacher mode included, is read from state.cfg (a RunConfig).
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ class TaskRecord:
 @dataclass
 class CurriculumState:
     cfg: object
-    mode: str
     buffer: list = field(default_factory=list)
     t: int = 0
     next_task_id: int = 0
@@ -62,7 +63,6 @@ class CurriculumState:
 class Student:
     policy: object
     params: object
-    ppo: object
     updates: int = 0
 
 
@@ -70,7 +70,6 @@ class Student:
 class Predictor:
     model: object
     params: object
-    train_cfg: object
     updates: int = 0
 
 
@@ -95,19 +94,19 @@ class StepLog:
     colearnability_written: float | None = None
 
 
-def mode_settings(mode, cfg):
-    """Effective (alpha, beta, mutation_enabled) for a teacher mode."""
-    if mode == "traced":
+def mode_settings(cfg):
+    """Effective (alpha, beta, mutation_enabled) for cfg's teacher mode."""
+    if cfg.mode == "traced":
         return cfg.alpha, cfg.beta, True
-    if mode == "accel":
+    if cfg.mode == "accel":
         return 0.0, 0.0, True
-    if mode == "plr":
+    if cfg.mode == "plr":
         return 0.0, 0.0, False
-    if mode == "traced-no-atpl":
+    if cfg.mode == "traced-no-atpl":
         return 0.0, cfg.beta, True
-    if mode == "traced-no-cl":
+    if cfg.mode == "traced-no-cl":
         return cfg.alpha, 0.0, True
-    raise ValueError(f"unknown teacher mode {mode!r}")
+    raise ValueError(f"unknown teacher mode {cfg.mode!r}")
 
 
 def task_difficulty(record: TaskRecord, t):
@@ -120,7 +119,7 @@ def task_difficulty(record: TaskRecord, t):
 
 def priority_scores(state: CurriculumState):
     """difficulty + beta * co-learnability per buffered task, in buffer order."""
-    _, beta, _ = mode_settings(state.mode, state.cfg)
+    _, beta, _ = mode_settings(state.cfg)
     return np.array(
         [task_difficulty(r, state.t) + beta * r.colearnability for r in state.buffer]
     )
@@ -265,8 +264,8 @@ def _rollout(state, student, level, rng):
     return trajs
 
 
-def _train_student(student, trajs, rng):
-    student.params, _ = ppo_update(student.policy, student.params, trajs, student.ppo, rng)
+def _train_student(state, student, trajs, rng):
+    student.params, _ = ppo_update(student.policy, student.params, trajs, state.cfg, rng)
     student.updates += 1
 
 
@@ -276,7 +275,7 @@ def _score_and_fit(state, predictor, trajs, alpha):
     atpl = average_transition_prediction_loss_many(trajs, predictor.model, predictor.params.theta)
     score = approx_regret(pvl, atpl, alpha)
     obs, act, nxt = stack_transitions(trajs)
-    predictor.params, _ = train_dynamics(predictor.model, predictor.params, obs, act, nxt, predictor.train_cfg)
+    predictor.params, _ = train_dynamics(predictor.model, predictor.params, obs, act, nxt, state.cfg)
     predictor.updates += 1
     return score
 
@@ -319,10 +318,10 @@ def ued_step(state: CurriculumState, student: Student, predictor: Predictor, rng
     student's parameters.
     """
     cfg = state.cfg
-    if state.mode == "dr":
+    if cfg.mode == "dr":
         log = _dr_step(state, student, rng)
     else:
-        alpha, _, mutation_enabled = mode_settings(state.mode, cfg)
+        alpha, _, mutation_enabled = mode_settings(cfg)
         replay_ready = len(state.buffer) >= cfg.batch_size
         want_replay = rng.random() < cfg.replay_rate
         if want_replay and replay_ready:
@@ -340,7 +339,7 @@ def _fresh_level(cfg, rng):
 def _dr_step(state, student, rng):
     level = _fresh_level(state.cfg, rng)
     trajs = _rollout(state, student, level, rng)
-    _train_student(student, trajs, rng)
+    _train_student(state, student, trajs, rng)
     score = approx_regret(positive_value_loss_many(trajs), 0.0, 0.0)
     return StepLog(phase="dr", rows=[_row(state, "dr", -1, score, level_metrics(level))])
 
@@ -362,7 +361,7 @@ def _replay_step(state, student, predictor, alpha, mutation_enabled, rng):
     posts = {}
     for rec, prob in zip(records, probs):
         trajs = _rollout(state, student, rec.level, rng)
-        _train_student(student, trajs, rng)
+        _train_student(state, student, trajs, rng)
         score = _score_and_fit(state, predictor, trajs, alpha)
         rec.history.append((state.t, score.combined))
         posts[rec.task_id] = score.combined

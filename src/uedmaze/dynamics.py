@@ -4,7 +4,8 @@ A feedforward predictor maps (observation vector, one-hot action) to scores
 with the observation's shape. Fit quality is measured as exact mean absolute
 error (L1) over every output element; optimization goes through a smoothed-L1
 surrogate (quadratic within 1e-2 of the kink) so the gradient is continuous,
-but every reported number is the exact L1.
+but every reported number is the exact L1. The training step reads
+dynamics_learning_rate, adam_eps and max_grad_norm off the run's RunConfig.
 """
 
 from __future__ import annotations
@@ -114,15 +115,8 @@ def dynamics_loss_and_grad(model: DynamicsModel, theta, obs, action_onehot, next
     return loss, grad, l1
 
 
-@dataclass(frozen=True)
-class DynamicsTrainConfig:
-    learning_rate: float = 1e-3
-    adam_eps: float = 1e-5
-    max_grad_norm: float = 0.5
-
-
-def train_dynamics(model, params: FlatParams, obs, action_onehot, next_obs, cfg: DynamicsTrainConfig):
-    """One gradient step on the batch; returns (new_params, stats).
+def train_dynamics(model, params: FlatParams, obs, action_onehot, next_obs, cfg):
+    """One gradient step on the batch under RunConfig cfg; returns (new_params, stats).
 
     stats["loss_l1"] is the exact pre-step L1. Non-finite gradients abort the
     step: the input parameters come back unchanged with stats["aborted"] True.
@@ -133,7 +127,7 @@ def train_dynamics(model, params: FlatParams, obs, action_onehot, next_obs, cfg:
         return params, {**stats, "aborted": True}
     grad, norm = clip_grad_norm(grad, cfg.max_grad_norm)
     stats["grad_norm"] = norm
-    return adam_step(params, grad, cfg.learning_rate, cfg.adam_eps), stats
+    return adam_step(params, grad, cfg.dynamics_learning_rate, cfg.adam_eps), stats
 
 
 def trajectory_transitions(traj):

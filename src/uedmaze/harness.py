@@ -44,10 +44,10 @@ def make_components(cfg: RunConfig):
     init_ss, train_ss = np.random.SeedSequence(cfg.seed).spawn(2)
     init_rng = np.random.default_rng(init_ss)
     policy = PolicyNetwork(cfg.policy_arch())
-    student = Student(policy=policy, params=policy.init_params(init_rng), ppo=cfg.ppo())
+    student = Student(policy=policy, params=policy.init_params(init_rng))
     model = DynamicsModel(cfg.dynamics_arch())
-    predictor = Predictor(model=model, params=model.init_params(init_rng), train_cfg=cfg.dynamics_train())
-    state = CurriculumState(cfg=cfg, mode=cfg.mode)
+    predictor = Predictor(model=model, params=model.init_params(init_rng))
+    state = CurriculumState(cfg=cfg)
     return state, student, predictor, np.random.default_rng(train_ss)
 
 
@@ -72,12 +72,14 @@ def run_experiment(cfg: RunConfig, out_dir):
     started = time.monotonic()
     suite = load_suite(cfg.eval_suite)
     phase_counts = {}
+    colearnability_writes = 0
     with open(out / "logs.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(LOG_COLUMNS)
         for step in range(cfg.total_updates):
             log = ued_step(state, student, predictor, rng)
             phase_counts[log.phase] = phase_counts.get(log.phase, 0) + 1
+            colearnability_writes += log.colearnability_written is not None
             for row in log.rows:
                 writer.writerow(_row_cells(row))
             update = step + 1
@@ -96,6 +98,7 @@ def run_experiment(cfg: RunConfig, out_dir):
         "predictor_updates": predictor.updates,
         "buffer_size": len(state.buffer),
         "phase_counts": phase_counts,
+        "colearnability_writes": colearnability_writes,
         "final_solved_rate": final_eval["aggregate_solved_rate"],
         "final_mean_return": final_eval["aggregate_mean_return"],
         "wall_seconds": round(time.monotonic() - started, 3),
@@ -237,16 +240,18 @@ def load_checkpoint(path):
     """Rebuild (cfg, student, predictor, update) from a checkpoint file."""
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("a checkpoint is a JSON object")
     version = data.get("format_version")
     if version != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format_version {version!r} (expected {CHECKPOINT_FORMAT_VERSION})")
     cfg = parse_config(data["config"])
     policy = PolicyNetwork(cfg.policy_arch())
-    student = Student(policy=policy, params=_params_from_dict(data["policy"]), ppo=cfg.ppo())
+    student = Student(policy=policy, params=_params_from_dict(data["policy"]))
     if len(student.params.theta) != policy.net.size:
         raise ValueError("checkpoint policy parameters do not match the configured architecture")
     model = DynamicsModel(cfg.dynamics_arch())
-    predictor = Predictor(model=model, params=_params_from_dict(data["dynamics"]), train_cfg=cfg.dynamics_train())
+    predictor = Predictor(model=model, params=_params_from_dict(data["dynamics"]))
     if len(predictor.params.theta) != model.net.size:
         raise ValueError("checkpoint dynamics parameters do not match the configured architecture")
     return cfg, student, predictor, int(data["update"])
@@ -274,10 +279,10 @@ def save_buffer_snapshot(path, state: CurriculumState):
         fh.write("\n")
 
 
-def load_buffer_snapshot(path, cfg, mode):
+def load_buffer_snapshot(path, cfg):
     with open(path) as fh:
         data = json.load(fh)
-    state = CurriculumState(cfg=cfg, mode=mode, t=int(data["t"]), next_task_id=int(data["next_task_id"]))
+    state = CurriculumState(cfg=cfg, t=int(data["t"]), next_task_id=int(data["next_task_id"]))
     state.prev_replay_batch = {int(k): float(v) for k, v in data["prev_replay_batch"].items()}
     for item in data["tasks"]:
         level = level_from_dict(item["level"])

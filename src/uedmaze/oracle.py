@@ -22,7 +22,6 @@ from .agent import (
     PolicyArch,
     PolicyNetwork,
     PpoBatch,
-    PpoConfig,
     Trajectory,
     compute_gae,
     log_softmax,
@@ -80,7 +79,7 @@ def naive_transition_loss(predicted, actual):
 def _random_state(t, n, **cfg_fields):
     """A traced-mode state at update t holding n tasks with unused levels."""
     records = [TaskRecord(task_id=i, level=None, metrics=None, history=[]) for i in range(n)]
-    return CurriculumState(cfg=RunConfig(**cfg_fields), mode="traced", buffer=records, t=t, next_task_id=n)
+    return CurriculumState(cfg=RunConfig(**cfg_fields), buffer=records, t=t, next_task_id=n)
 
 
 def staleness_floor(state):
@@ -279,7 +278,7 @@ def check_policy_gradient(rng, points=5, tol=1e-4, entropy_coef=0.01, value_clip
     The defaults are desk11's loss: entropy bonus 0.01 and a clipped value term.
     """
     policy = PolicyNetwork(PolicyArch(dir_embed_dim=3, trunk_hidden=(8,), head_hidden=(6,)))
-    cfg = PpoConfig(clip_range=0.2, value_loss_coef=0.5, entropy_coef=entropy_coef, value_clipping=value_clipping)
+    cfg = RunConfig(clip_range=0.2, value_loss_coef=0.5, entropy_coef=entropy_coef, value_clipping=value_clipping)
     worst = 0.0
     for _ in range(points):
         batch = _toy_policy_batch(policy, rng)

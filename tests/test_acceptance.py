@@ -100,7 +100,7 @@ def _record(task_id, history, cfg=SMALL):
 
 
 def _state(records, cfg=SMALL, mode="traced", t=10):
-    state = CurriculumState(cfg=cfg, mode=mode, t=t)
+    state = CurriculumState(cfg=dataclasses.replace(cfg, mode=mode), t=t)
     state.buffer = list(records)
     state.next_task_id = max((r.task_id for r in records), default=-1) + 1
     return state
@@ -183,7 +183,7 @@ def test_04_combined_score_linearity_and_accel_reduction():
         pvl = positive_value_loss_many(wave)
         atpl = average_transition_prediction_loss_many(wave, model, theta)
         exact = exact and approx_regret(pvl, atpl, 0.0).combined == pvl
-    accel_alpha, accel_beta, accel_mutates = mode_settings("accel", SMALL)
+    accel_alpha, accel_beta, accel_mutates = mode_settings(dataclasses.replace(SMALL, mode="accel"))
     ok = exact and accel_alpha == 0.0 and accel_beta == 0.0 and accel_mutates
     _report(4, ok, f"combined == pvl + alpha*atpl bit-exact on 200 triples + {len(trajs)} rollout trajectories and their wave; "
                    f"accel mode wires alpha={accel_alpha}, beta={accel_beta}")
@@ -369,6 +369,7 @@ def _pooled_replay_thirds(runs):
     return [s / c for s, c in zip(sums, counts)]
 
 
+@pytest.mark.slow
 def test_10_desk_scale_complexity_growth_and_dr_comparison(desk_runs):
     thirds = _pooled_replay_thirds(desk_runs["traced"])
     growth_ok = thirds[0] <= thirds[1] <= thirds[2] and thirds[2] > thirds[0]

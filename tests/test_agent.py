@@ -5,7 +5,6 @@ from uedmaze.agent import (
     PolicyArch,
     PolicyNetwork,
     PolicyTable,
-    PpoConfig,
     Trajectory,
     build_batch,
     collect_rollout,
@@ -186,7 +185,7 @@ def test_ppo_single_step_descends():
     params = policy.init_params(np.random.default_rng(9))
     rng = np.random.default_rng(10)
     levels = [generate_random_level(7, 7, 4, rng) for _ in range(2)]
-    cfg = PpoConfig(epochs=1, minibatches=1, learning_rate=3e-3, entropy_coef=0.0)
+    cfg = RunConfig(ppo_epochs=1, ppo_minibatches=1, adam_learning_rate=3e-3, entropy_coef=0.0)
     trajs = collect_rollout(policy, params, levels, 64, 20, rng)
     run = RunConfig()
     for t in trajs:
@@ -209,7 +208,7 @@ def test_ppo_update_does_not_mutate_inputs():
     trajs = collect_rollout(policy, params, [level], 32, 20, rng)
     for t in trajs:
         compute_gae(t, 0.99, 0.95)
-    new_params, _ = ppo_update(policy, params, trajs, PpoConfig(epochs=2), rng)
+    new_params, _ = ppo_update(policy, params, trajs, RunConfig(ppo_epochs=2), rng)
     assert np.array_equal(params.theta, before)
     assert new_params is not params
 
@@ -233,7 +232,7 @@ def test_zero_advantages_leave_actor_head_untouched():
         t.advantages[:] = 0.0
         t.returns[:] = 0.0
         t.td_errors[:] = 0.0
-    cfg = PpoConfig(epochs=3, learning_rate=1e-2, entropy_coef=0.0)
+    cfg = RunConfig(ppo_epochs=3, adam_learning_rate=1e-2, entropy_coef=0.0)
     new_params, _ = ppo_update(policy, params, trajs, cfg, rng)
     actor = _chain_span(policy.net, "actor")
     critic = _chain_span(policy.net, "critic")
@@ -264,7 +263,7 @@ def test_entropy_gradient_direction():
         compute_gae(t, 1.0, 1.0)
         t.advantages[:] = 0.0
         t.returns[:] = 0.0
-    cfg = PpoConfig(epochs=4, learning_rate=5e-3, entropy_coef=0.05, value_loss_coef=0.0)
+    cfg = RunConfig(ppo_epochs=4, adam_learning_rate=5e-3, entropy_coef=0.05, value_loss_coef=0.0)
     new_params, _ = ppo_update(policy, params, trajs, cfg, rng)
     assert mean_entropy(new_params.theta) > mean_entropy(params.theta)
 
@@ -278,7 +277,7 @@ def test_ppo_update_aborts_on_nonfinite():
     for t in trajs:
         compute_gae(t, 0.99, 0.95)
         t.advantages[:] = np.inf
-    new_params, stats = ppo_update(policy, params, trajs, PpoConfig(), rng)
+    new_params, stats = ppo_update(policy, params, trajs, RunConfig(), rng)
     assert stats["aborted"]
     assert np.array_equal(new_params.theta, params.theta)
 

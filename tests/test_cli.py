@@ -7,7 +7,7 @@ import pytest
 
 import uedmaze.oracle as oracle
 from uedmaze.cli import main
-from uedmaze.config import RunConfig, dump_config, load_preset, parse_config
+from uedmaze.config import SECTIONS, RunConfig, dump_config, load_preset, parse_config
 from uedmaze.env import ACTION_FORWARD, NUM_ACTIONS
 from uedmaze.errors import ConfigError
 from uedmaze.harness import (
@@ -52,6 +52,28 @@ def micro_config(**overrides):
 
 def test_config_round_trip():
     cfg = micro_config(seed=5, mode="accel", temperature=0.7)
+    assert parse_config(dump_config(cfg)) == cfg
+
+
+def test_every_field_sits_in_exactly_one_section():
+    placed = [key for keys in SECTIONS.values() for key in keys]
+    assert sorted(placed) == sorted(f.name for f in dataclasses.fields(RunConfig))
+
+
+def test_config_with_every_field_off_its_default_round_trips():
+    cfg = RunConfig(
+        mode="accel", seed=7, total_updates=3, eval_every=2, eval_episodes=3, checkpoint_every=2,
+        eval_suite="full15", grid_width=9, grid_height=7, max_episode_steps=99, min_blocks=1, max_blocks=7,
+        dir_embed_dim=3, trunk_hidden=(8, 4), head_hidden=(6,), dynamics_hidden=(5, 5, 5),
+        dynamics_learning_rate=0.0123, gamma=0.9, gae_lambda=0.8, rollout_length=33, ppo_epochs=2,
+        ppo_minibatches=3, clip_range=0.1, num_workers=2, adam_learning_rate=3e-4, adam_eps=1e-7,
+        max_grad_norm=0.25, value_clipping=False, value_loss_coef=0.4, entropy_coef=0.01, alpha=0.5,
+        beta=2.0, replay_rate=0.5, buffer_size=50, num_edits=3, batch_size=3, num_mutations=2,
+        temperature=0.7, staleness_coef=0.1,
+    )
+    default = RunConfig()
+    same = [f.name for f in dataclasses.fields(RunConfig) if getattr(cfg, f.name) == getattr(default, f.name)]
+    assert same == []
     assert parse_config(dump_config(cfg)) == cfg
 
 
@@ -110,6 +132,17 @@ def test_run_writes_all_artifacts(micro_run):
     assert header == "t,phase,task_id,pvl,atpl,combined,colearnability,priority_prob,shortest_path_len,num_blocks"
 
 
+def test_summary_counts_landed_colearnability_writes(tmp_path):
+    # num_mutations < batch_size: part of each replay batch survives for the next write-back
+    summary = run_experiment(micro_config(seed=11, total_updates=16), tmp_path / "some-mutated")
+    assert summary["phase_counts"]["replay"] >= 2
+    assert summary["colearnability_writes"] > 0
+    # num_mutations == batch_size, full15's shape: every member is mutated away, so no write-back lands
+    summary = run_experiment(micro_config(seed=11, total_updates=16, num_mutations=2), tmp_path / "all-mutated")
+    assert summary["phase_counts"]["replay"] >= 2
+    assert summary["colearnability_writes"] == 0
+
+
 def test_config_echo_reparses_to_same_config(micro_run):
     cfg, out, _ = micro_run
     assert parse_config((out / "config.ini").read_text()) == cfg
@@ -159,13 +192,13 @@ def test_buffer_snapshot_ignores_a_stale_best_return_key(micro_run, tmp_path):
         task["best_return"] = 0.5
     old = tmp_path / "old_buffer.json"
     old.write_text(json.dumps(data))
-    state = load_buffer_snapshot(old, cfg, cfg.mode)
+    state = load_buffer_snapshot(old, cfg)
     assert [r.task_id for r in state.buffer] == [task["task_id"] for task in data["tasks"]]
 
 
 def test_buffer_snapshot_round_trip(micro_run, tmp_path):
     cfg, out, _ = micro_run
-    state = load_buffer_snapshot(out / "buffer.json", cfg, cfg.mode)
+    state = load_buffer_snapshot(out / "buffer.json", cfg)
     assert len(state.buffer) >= 1
     again = tmp_path / "again.json"
     save_buffer_snapshot(again, state)
@@ -316,6 +349,37 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     assert main(["run", "--config", "not-a-preset"]) == 2
     err = capsys.readouterr().err
     assert "config error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evaluate", "--episodes", "0"],
+        ["evaluate", "--episodes", "-3"],
+        ["report", "--window", "0"],
+        ["report", "--window", "-2"],
+    ],
+    ids=["episodes-0", "episodes-minus-3", "window-0", "window-minus-2"],
+)
+def test_cli_counts_below_one_exit_2(micro_run, argv, capsys):
+    _, out, _ = micro_run
+    target = ["--checkpoint", str(out / "checkpoint_final.json")] if argv[0] == "evaluate" else [str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:1] + target + argv[1:])
+    assert exc.value.code == 2
+    assert f"must be >= 1, got {argv[-1]}" in capsys.readouterr().err
+
+
+def test_cli_unreadable_checkpoint_exits_2(tmp_path, capsys):
+    broken = tmp_path / "broken.json"
+    broken.write_text("{not json")
+    keyless = tmp_path / "keyless.json"
+    keyless.write_text(json.dumps({"format_version": 2}))
+    listed = tmp_path / "listed.json"
+    listed.write_text("[]")
+    for path in (tmp_path / "nope.json", broken, keyless, listed):
+        assert main(["evaluate", "--checkpoint", str(path)]) == 2
+        assert f"config error: cannot load checkpoint {path}" in capsys.readouterr().err
 
 
 def test_cli_verify_passes(capsys):

@@ -53,7 +53,7 @@ def record(task_id, history, colearn=0.0, last_sampled=None):
 
 
 def state_with(records, cfg=None, mode="traced", t=10):
-    state = CurriculumState(cfg=cfg or MICRO, mode=mode, t=t)
+    state = CurriculumState(cfg=dataclasses.replace(cfg or MICRO, mode=mode), t=t)
     state.buffer = list(records)
     state.next_task_id = max((r.task_id for r in records), default=-1) + 1
     return state
@@ -238,13 +238,17 @@ def test_select_mutation_parents_prefers_low_regret():
 
 def test_mode_settings_matrix():
     cfg = MICRO
-    assert mode_settings("traced", cfg) == (cfg.alpha, cfg.beta, True)
-    assert mode_settings("accel", cfg) == (0.0, 0.0, True)
-    assert mode_settings("plr", cfg) == (0.0, 0.0, False)
-    assert mode_settings("traced-no-atpl", cfg) == (0.0, cfg.beta, True)
-    assert mode_settings("traced-no-cl", cfg) == (cfg.alpha, 0.0, True)
+
+    def settings(mode):
+        return mode_settings(dataclasses.replace(cfg, mode=mode))
+
+    assert settings("traced") == (cfg.alpha, cfg.beta, True)
+    assert settings("accel") == (0.0, 0.0, True)
+    assert settings("plr") == (0.0, 0.0, False)
+    assert settings("traced-no-atpl") == (0.0, cfg.beta, True)
+    assert settings("traced-no-cl") == (cfg.alpha, 0.0, True)
     with pytest.raises(ValueError):
-        mode_settings("dr", cfg)  # dr never reaches the teacher path
+        settings("dr")  # dr never reaches the teacher path
 
 
 def theta_digest(student):

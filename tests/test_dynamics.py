@@ -4,7 +4,6 @@ import pytest
 from uedmaze.dynamics import (
     DynamicsArch,
     DynamicsModel,
-    DynamicsTrainConfig,
     SMOOTH_L1_WIDTH,
     smooth_l1,
     smooth_l1_grad,
@@ -14,6 +13,7 @@ from uedmaze.dynamics import (
     transition_loss,
 )
 from uedmaze.agent import PolicyArch, PolicyNetwork, collect_rollout
+from uedmaze.config import RunConfig
 from uedmaze.env import NUM_ACTIONS, OBS_DIM
 from uedmaze.levels import generate_random_level
 from uedmaze.oracle import check_dynamics_gradient, naive_transition_loss
@@ -71,7 +71,7 @@ def test_zero_learning_rate_changes_nothing():
     model = DynamicsModel(DynamicsArch(hidden=(8,)))
     params = model.init_params(np.random.default_rng(3))
     obs, act, nxt = random_transitions(np.random.default_rng(4), 10)
-    cfg = DynamicsTrainConfig(learning_rate=0.0)
+    cfg = RunConfig(dynamics_learning_rate=0.0)
     new_params, stats = train_dynamics(model, params, obs, act, nxt, cfg)
     assert np.array_equal(new_params.theta, params.theta)
     assert not stats["aborted"]
@@ -94,7 +94,7 @@ def test_overfits_a_small_transition_set():
     initial = transition_loss(model.predict(params.theta, obs, act), nxt)
     # Adam on an L1 objective hovers at roughly lr amplitude, so decay to land
     for lr, steps in ((5e-3, 600), (1e-3, 300), (2e-4, 100)):
-        cfg = DynamicsTrainConfig(learning_rate=lr)
+        cfg = RunConfig(dynamics_learning_rate=lr)
         for _ in range(steps):
             params, stats = train_dynamics(model, params, obs, act, nxt, cfg)
     final = transition_loss(model.predict(params.theta, obs, act), nxt)
@@ -107,7 +107,7 @@ def test_single_transition_memorized():
     params = model.init_params(np.random.default_rng(7))
     obs, act, nxt = rollout_transitions(8, 1)
     for lr, steps in ((1e-2, 300), (1e-3, 150)):
-        cfg = DynamicsTrainConfig(learning_rate=lr)
+        cfg = RunConfig(dynamics_learning_rate=lr)
         for _ in range(steps):
             params, _ = train_dynamics(model, params, obs, act, nxt, cfg)
     assert transition_loss(model.predict(params.theta, obs, act), nxt) < 0.05
@@ -124,7 +124,7 @@ def test_loss_trends_down_on_rollout_data():
     params = model.init_params(np.random.default_rng(11))
     losses = []
     for _ in range(60):
-        params, stats = train_dynamics(model, params, obs, act, nxt, DynamicsTrainConfig())
+        params, stats = train_dynamics(model, params, obs, act, nxt, RunConfig())
         losses.append(stats["loss_l1"])
     first, last = np.mean(losses[:10]), np.mean(losses[-10:])
     assert last < first

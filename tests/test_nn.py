@@ -17,7 +17,6 @@ from uedmaze.agent import (
     PolicyArch,
     PolicyNetwork,
     PpoBatch,
-    PpoConfig,
     Trajectory,
     build_batch,
     collect_rollout,
@@ -25,7 +24,8 @@ from uedmaze.agent import (
     ppo_loss_and_grad,
     ppo_update,
 )
-from uedmaze.dynamics import SMOOTH_L1_WIDTH, DynamicsModel, DynamicsTrainConfig, train_dynamics
+from uedmaze.config import RunConfig
+from uedmaze.dynamics import SMOOTH_L1_WIDTH, DynamicsModel, train_dynamics
 from uedmaze.env import NUM_ACTIONS, OBS_DIM, OBS_IMAGE_DIM
 from uedmaze.levels import generate_random_level
 from uedmaze.nn import FlatParams, adam_step, clip_grad_norm
@@ -93,13 +93,13 @@ def ref_ppo_update(policy, params, trajs, cfg, rng):
     ref = RefPolicy(policy)
     new_params = params
     stats = {}
-    for _ in range(cfg.epochs):
+    for _ in range(cfg.ppo_epochs):
         order = rng.permutation(len(batch))
-        for idx in np.array_split(order, cfg.minibatches):
+        for idx in np.array_split(order, cfg.ppo_minibatches):
             part = PpoBatch(*(a[idx] for a in batch.arrays()))
             loss, grad, step_stats = ppo_loss_and_grad(ref, new_params.theta, part, cfg)
             grad, norm = clip_grad_norm(grad, cfg.max_grad_norm)
-            new_params = adam_step(new_params, grad, cfg.learning_rate, cfg.adam_eps)
+            new_params = adam_step(new_params, grad, cfg.adam_learning_rate, cfg.adam_eps)
             stats.update(step_stats, loss=loss, grad_norm=norm)
     return new_params, stats
 
@@ -117,7 +117,7 @@ def ref_train_dynamics(model, params, obs, act, nxt, cfg):
     ref_chain_backward(model.net, params.theta, "net", cache, dy, grad)
     stats = {"loss_l1": l1, "loss_surrogate": loss}
     grad, stats["grad_norm"] = clip_grad_norm(grad, cfg.max_grad_norm)
-    return adam_step(params, grad, cfg.learning_rate, cfg.adam_eps), stats
+    return adam_step(params, grad, cfg.dynamics_learning_rate, cfg.adam_eps), stats
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +187,7 @@ def test_ppo_update_matches_reference_bits(n):
     policy = PolicyNetwork()
     params = noisy_params(policy.net, 200 + n)
     trajs = random_trajs(np.random.default_rng(300 + n), n)
-    cfg = PpoConfig(epochs=3, learning_rate=1e-3, entropy_coef=0.01)
+    cfg = RunConfig(ppo_epochs=3, adam_learning_rate=1e-3, entropy_coef=0.01)
     expected, ref_stats = ref_ppo_update(policy, params, trajs, cfg, np.random.default_rng(7))
     got, stats = ppo_update(policy, params, trajs, cfg, np.random.default_rng(7))
     assert_params_equal(got, expected)
@@ -198,7 +198,7 @@ def test_ppo_update_with_uneven_minibatches_matches_reference_bits():
     policy = PolicyNetwork()
     params = noisy_params(policy.net, 9)
     trajs = random_trajs(np.random.default_rng(10), 301)
-    cfg = PpoConfig(epochs=2, minibatches=4)
+    cfg = RunConfig(ppo_epochs=2, ppo_minibatches=4)
     expected, _ = ref_ppo_update(policy, params, trajs, cfg, np.random.default_rng(11))
     got, _ = ppo_update(policy, params, trajs, cfg, np.random.default_rng(11))
     assert_params_equal(got, expected)
@@ -211,7 +211,7 @@ def test_train_dynamics_matches_predict_then_loss_and_grad_bits(n):
     obs, act, nxt = transitions(np.random.default_rng(500 + n), n)
     if n > 1:
         nxt[0] = model.predict(params.theta, obs[:1], act[:1])[0] + 1e-3  # one element inside the quadratic zone
-    cfg = DynamicsTrainConfig()
+    cfg = RunConfig()
     expected, ref_stats = ref_train_dynamics(model, params, obs, act, nxt, cfg)
     got, stats = train_dynamics(model, params, obs, act, nxt, cfg)
     assert_params_equal(got, expected)
@@ -308,7 +308,7 @@ def test_one_rollout_builds_each_layer_view_once(weights_calls):
 def test_ppo_update_builds_views_once_per_parameter_vector(weights_calls):
     policy = PolicyNetwork()
     params = noisy_params(policy.net, 12)
-    cfg = PpoConfig(epochs=3)
+    cfg = RunConfig(ppo_epochs=3)
     ppo_update(policy, params, random_trajs(np.random.default_rng(13), 64), cfg, np.random.default_rng(14))
     layers = sum(len(specs) for specs in policy.net.chains.values())
-    assert len(weights_calls) == cfg.epochs * layers  # each epoch's step forwards one new theta
+    assert len(weights_calls) == cfg.ppo_epochs * layers  # each epoch's step forwards one new theta
