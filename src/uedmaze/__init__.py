@@ -13,7 +13,7 @@ from .dynamics import DynamicsArch, DynamicsModel, train_dynamics, transition_lo
 from .env import MazeEnv, NUM_ACTIONS, OBS_DIM, Observation
 from .errors import ConfigError
 from .harness import emit_report, evaluate_policy, load_checkpoint, load_suite, make_components, run_experiment, save_checkpoint
-from .levels import Level, generate_random_level, load_level, mutate_level, parse_ascii, render_ascii, save_level, shortest_path_length
+from .levels import Level, generate_random_level, mutate_level, parse_ascii, render_ascii, save_level, shortest_path_length
 from .oracle import verification_report
 from .scoring import RegretScore, approx_regret
 
@@ -47,7 +47,6 @@ __all__ = [
     "generate_random_level",
     "load_checkpoint",
     "load_config",
-    "load_level",
     "load_preset",
     "load_suite",
     "make_components",

@@ -244,10 +244,10 @@ class PpoBatch:
         return tuple(getattr(self, f.name) for f in fields(self))
 
     def take(self, idx, out):
-        """Rows idx (all in range), in that order, gathered into the leading rows of `out`'s arrays."""
+        """The rows in the order of idx, a permutation of all rows, gathered into `out`'s arrays."""
         pairs = zip(self.arrays(), out.arrays())
         # mode="clip" writes straight into dst; the default mode gathers into a temporary first
-        return PpoBatch(*(np.take(src, idx, axis=0, out=dst[: len(idx)], mode="clip") for src, dst in pairs))
+        return PpoBatch(*(np.take(src, idx, axis=0, out=dst, mode="clip") for src, dst in pairs))
 
     def __len__(self):
         return len(self.actions)
@@ -294,16 +294,12 @@ def ppo_loss_and_grad(policy, theta, batch: PpoBatch, cfg):
     dlogp = np.where(unclipped <= clipped, -ratio * batch.advantages, 0.0) / n
 
     v_err = values - batch.returns
-    if cfg.value_clipping:
-        v_clip = batch.old_values + np.clip(values - batch.old_values, -cfg.clip_range, cfg.clip_range)
-        vc_err = v_clip - batch.returns
-        use_raw = v_err**2 >= vc_err**2
-        value_loss = 0.5 * np.maximum(v_err**2, vc_err**2).mean()
-        clip_active = np.abs(values - batch.old_values) <= cfg.clip_range
-        dvalues = np.where(use_raw, v_err, vc_err * clip_active) * (cfg.value_loss_coef / n)
-    else:
-        value_loss = 0.5 * (v_err**2).mean()
-        dvalues = v_err * (cfg.value_loss_coef / n)
+    v_clip = batch.old_values + np.clip(values - batch.old_values, -cfg.clip_range, cfg.clip_range)
+    vc_err = v_clip - batch.returns
+    use_raw = v_err**2 >= vc_err**2
+    value_loss = 0.5 * np.maximum(v_err**2, vc_err**2).mean()
+    clip_active = np.abs(values - batch.old_values) <= cfg.clip_range
+    dvalues = np.where(use_raw, v_err, vc_err * clip_active) * (cfg.value_loss_coef / n)
 
     entropy = -(probs * logp_all).sum(axis=1)
     loss = pg_loss + cfg.value_loss_coef * value_loss - cfg.entropy_coef * entropy.mean()
@@ -322,7 +318,7 @@ def ppo_loss_and_grad(policy, theta, batch: PpoBatch, cfg):
 
 
 def ppo_update(policy, params: FlatParams, trajs, cfg, rng):
-    """Run cfg's PPO epoch schedule (a RunConfig) on the given trajectories.
+    """Run cfg.ppo_epochs PPO steps (cfg a RunConfig), each on the whole batch in a fresh shuffle.
 
     Returns (new_params, stats). A non-finite loss or gradient aborts the
     update: the returned parameters are the unmodified input and
@@ -334,13 +330,10 @@ def ppo_update(policy, params: FlatParams, trajs, cfg, rng):
     stats = {"aborted": False, "num_steps": len(batch), "grad_norm": 0.0}
     for _ in range(cfg.ppo_epochs):
         order = rng.permutation(len(batch))
-        for idx in np.array_split(order, cfg.ppo_minibatches):
-            if len(idx) == 0:
-                continue
-            loss, grad, step_stats = ppo_loss_and_grad(policy, new_params.theta, batch.take(idx, shuffled), cfg)
-            if not (np.isfinite(loss) and np.all(np.isfinite(grad))):
-                return params, {**stats, **step_stats, "aborted": True, "loss": float(loss)}
-            grad, norm = clip_grad_norm(grad, cfg.max_grad_norm)
-            new_params = adam_step(new_params, grad, cfg.adam_learning_rate, cfg.adam_eps)
-            stats.update(step_stats, loss=loss, grad_norm=norm)
+        loss, grad, step_stats = ppo_loss_and_grad(policy, new_params.theta, batch.take(order, shuffled), cfg)
+        if not (np.isfinite(loss) and np.all(np.isfinite(grad))):
+            return params, {**stats, **step_stats, "aborted": True, "loss": float(loss)}
+        grad, norm = clip_grad_norm(grad, cfg.max_grad_norm)
+        new_params = adam_step(new_params, grad, cfg.adam_learning_rate, cfg.adam_eps)
+        stats.update(step_stats, loss=loss, grad_norm=norm)
     return new_params, stats

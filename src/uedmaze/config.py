@@ -6,6 +6,11 @@ the section.key of the first offending field.
 
 RunConfig is the one configuration object the loop reads: ppo_update,
 train_dynamics and the teacher take it whole and read its fields by name.
+
+Some choices are fixed rather than configured: the value loss is always
+clipped, each PPO epoch takes one step on the whole shuffled batch, and replay
+always ranks tasks (Robust PLR's rank prioritisation), so temperature must be
+finite and > 0. Gradients are always clipped, so max_grad_norm must be > 0.
 """
 
 from __future__ import annotations
@@ -50,13 +55,11 @@ class RunConfig:
     gae_lambda: float = 0.95
     rollout_length: int = 256
     ppo_epochs: int = 5
-    ppo_minibatches: int = 1
     clip_range: float = 0.2
     num_workers: int = 16
     adam_learning_rate: float = 1e-4
     adam_eps: float = 1e-5
     max_grad_norm: float = 0.5
-    value_clipping: bool = True
     value_loss_coef: float = 0.5
     entropy_coef: float = 0.0
     # teacher
@@ -90,13 +93,11 @@ SECTIONS = {
         "gae_lambda",
         "rollout_length",
         "ppo_epochs",
-        "ppo_minibatches",
         "clip_range",
         "num_workers",
         "adam_learning_rate",
         "adam_eps",
         "max_grad_norm",
-        "value_clipping",
         "value_loss_coef",
         "entropy_coef",
     ),
@@ -125,12 +126,6 @@ def _parse_value(section, key, raw):
             return int(raw)
         if kind == "float":
             return float(raw)
-        if kind == "bool":
-            if raw.lower() in ("true", "yes", "1"):
-                return True
-            if raw.lower() in ("false", "no", "0"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
         if kind == "tuple":
             return tuple(int(p) for p in raw.split(",") if p.strip())
         return raw
@@ -139,8 +134,6 @@ def _parse_value(section, key, raw):
 
 
 def _format_value(value):
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, tuple):
         return ",".join(str(v) for v in value)
     if isinstance(value, float):
@@ -196,7 +189,7 @@ def validate_config(cfg: RunConfig) -> RunConfig:
     if cfg.mode not in MODES:
         fail("mode", f"must be one of {MODES}, got {cfg.mode!r}")
     for key in ("total_updates", "eval_episodes", "max_episode_steps", "rollout_length",
-                "ppo_epochs", "ppo_minibatches", "num_workers", "buffer_size", "num_edits",
+                "ppo_epochs", "num_workers", "buffer_size", "num_edits",
                 "batch_size", "dir_embed_dim"):
         if getattr(cfg, key) < 1:
             fail(key, f"must be >= 1, got {getattr(cfg, key)}")
@@ -213,10 +206,10 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         fail("gamma", f"must be in (0, 1], got {cfg.gamma}")
     if not 0.0 <= cfg.gae_lambda <= 1.0:
         fail("gae_lambda", f"must be in [0, 1], got {cfg.gae_lambda}")
-    for key in ("clip_range", "adam_learning_rate", "adam_eps", "dynamics_learning_rate"):
-        if getattr(cfg, key) <= 0:
+    for key in ("clip_range", "adam_learning_rate", "adam_eps", "dynamics_learning_rate", "max_grad_norm"):
+        if not getattr(cfg, key) > 0:
             fail(key, f"must be > 0, got {getattr(cfg, key)}")
-    for key in ("max_grad_norm", "value_loss_coef", "entropy_coef", "alpha", "beta"):
+    for key in ("value_loss_coef", "entropy_coef", "alpha", "beta"):
         if getattr(cfg, key) < 0:
             fail(key, f"must be >= 0, got {getattr(cfg, key)}")
     for key in ("replay_rate", "staleness_coef"):
@@ -224,8 +217,8 @@ def validate_config(cfg: RunConfig) -> RunConfig:
             fail(key, f"must be in [0, 1], got {getattr(cfg, key)}")
     if cfg.num_mutations > cfg.batch_size:
         fail("num_mutations", f"must be <= batch_size ({cfg.batch_size}), got {cfg.num_mutations}")
-    if not (cfg.temperature > 0 or math.isinf(cfg.temperature)):
-        fail("temperature", f"must be > 0 or inf, got {cfg.temperature}")
+    if not (0 < cfg.temperature < math.inf):
+        fail("temperature", f"must be finite and > 0, got {cfg.temperature}")
     for key in ("trunk_hidden", "head_hidden", "dynamics_hidden"):
         sizes = getattr(cfg, key)
         if not sizes or any(int(s) < 1 for s in sizes):

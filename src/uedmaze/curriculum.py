@@ -3,22 +3,21 @@
 Each step flips a replay coin. Tails: sample a fresh level, score it with a
 no-gradient rollout, and insert it into the buffer if it beats the current
 minimum. Heads: sample a batch of buffered tasks by priority, train the
-student on each, re-score them, write the batch's mean difficulty reduction
-back to the previously replayed batch (co-learnability), then mutate the
+student on each, re-score them, write the batch's mean score reduction back
+to the previously replayed batch (co-learnability), then mutate the
 lowest-regret members of the batch and replace them with their scored
 variants.
 
-Task difficulty is the latest entry of the task's score history; priority is
-difficulty + beta * co-learnability passed through a rank transform and mixed
-with a staleness distribution. The student's parameters change only inside
-the replay branch.
+A task keeps one score, the combined regret of its latest scoring rollout;
+priority is score + beta * co-learnability passed through a rank transform
+(Robust PLR's rank prioritisation) and mixed with a staleness distribution.
+The student's parameters change only inside the replay branch.
 
 Every setting, the teacher mode included, is read from state.cfg (a RunConfig).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,19 +34,14 @@ from .scoring import (
 
 @dataclass
 class TaskRecord:
-    """One buffered level with its scoring history.
-
-    history: (update index, combined regret) pairs, appended once per scoring
-    rollout; the first entry comes from the rollout that created the record.
-    """
+    """One buffered level; score is the combined regret of its latest scoring rollout."""
 
     task_id: int
     level: object
     metrics: object
-    history: list
+    score: float
     colearnability: float = 0.0
     last_sampled: int | None = None
-    created_at: int = 0
 
 
 @dataclass
@@ -56,7 +50,7 @@ class CurriculumState:
     buffer: list = field(default_factory=list)
     t: int = 0
     next_task_id: int = 0
-    prev_replay_batch: dict = field(default_factory=dict)
+    prev_replay_batch: list = field(default_factory=list)  # task ids
 
 
 @dataclass
@@ -100,7 +94,7 @@ def mode_settings(cfg):
         return cfg.alpha, cfg.beta, True
     if cfg.mode == "accel":
         return 0.0, 0.0, True
-    if cfg.mode == "plr":
+    if cfg.mode in ("plr", "dr"):
         return 0.0, 0.0, False
     if cfg.mode == "traced-no-atpl":
         return 0.0, cfg.beta, True
@@ -109,20 +103,10 @@ def mode_settings(cfg):
     raise ValueError(f"unknown teacher mode {cfg.mode!r}")
 
 
-def task_difficulty(record: TaskRecord, t):
-    """Latest history entry at or before t; 0 for a task never scored by then."""
-    for stamp, value in reversed(record.history):
-        if stamp <= t:
-            return value
-    return 0.0
-
-
 def priority_scores(state: CurriculumState):
-    """difficulty + beta * co-learnability per buffered task, in buffer order."""
+    """score + beta * co-learnability per buffered task, in buffer order."""
     _, beta, _ = mode_settings(state.cfg)
-    return np.array(
-        [task_difficulty(r, state.t) + beta * r.colearnability for r in state.buffer]
-    )
+    return np.array([r.score + beta * r.colearnability for r in state.buffer])
 
 
 def _staleness_weights(state):
@@ -144,9 +128,7 @@ def task_priority_distribution(state: CurriculumState):
 
     Tasks are ranked by score descending (ties broken by task_id, i.e.
     insertion order), weighted (1/rank)^(1/temperature), and mixed with the
-    staleness distribution by staleness_coef. temperature=inf bypasses the
-    rank transform and samples proportional to the scores themselves (floored
-    at zero; uniform when no mass remains).
+    staleness distribution by staleness_coef.
 
     A task's staleness is t - last_sampled; a task never sampled counts as
     the stalest sampled task (1 when no task has been sampled). The staleness
@@ -158,16 +140,12 @@ def task_priority_distribution(state: CurriculumState):
     if n == 0:
         raise ValueError("empty task buffer")
     scores = priority_scores(state)
-    if math.isinf(state.cfg.temperature):
-        mass = np.maximum(scores, 0.0)
-        h = mass / mass.sum() if mass.sum() > 0 else np.full(n, 1.0 / n)
-    else:
-        order = sorted(range(n), key=lambda i: (-scores[i], state.buffer[i].task_id))
-        ranks = np.empty(n)
-        for position, i in enumerate(order):
-            ranks[i] = position + 1
-        h = (1.0 / ranks) ** (1.0 / state.cfg.temperature)
-        h = h / h.sum()
+    order = sorted(range(n), key=lambda i: (-scores[i], state.buffer[i].task_id))
+    ranks = np.empty(n)
+    for position, i in enumerate(order):
+        ranks[i] = position + 1
+    h = (1.0 / ranks) ** (1.0 / state.cfg.temperature)
+    h = h / h.sum()
     rho = state.cfg.staleness_coef
     return (1.0 - rho) * h + rho * _staleness_weights(state)
 
@@ -220,26 +198,25 @@ def maybe_insert(state: CurriculumState, level, score, metrics):
     return record
 
 
-def update_colearnability(state: CurriculumState, batch_posts: dict):
-    """Write the current batch's mean difficulty reduction onto the previous batch.
+def update_colearnability(state: CurriculumState, pres: dict, posts: dict):
+    """Write the current batch's mean score reduction onto the previous batch.
 
-    The value is (1/|batch|) * sum(pre - post) over the current batch, where
-    pre is each task's difficulty just before this step's re-scoring. Every
-    surviving member of the previously replayed batch receives that same
-    value; then the current batch becomes the previous one.
+    pres and posts map each current batch member's task id to its score just
+    before and just after this step's re-scoring. The value is
+    (1/|batch|) * sum(pre - post). Every surviving member of the previously
+    replayed batch receives that same value; then the current batch becomes
+    the previous one. Returns the value, or None when it landed nowhere.
     """
-    if not batch_posts:
+    if not posts:
         raise ValueError("empty replay batch")
-    by_id = {r.task_id: r for r in state.buffer}
-    pres = {tid: task_difficulty(by_id[tid], state.t - 1) for tid in batch_posts}
-    value = sum(pres[tid] - batch_posts[tid] for tid in batch_posts) / len(batch_posts)
+    value = sum(pres[tid] - posts[tid] for tid in posts) / len(posts)
+    previous = set(state.prev_replay_batch)
     written = None
-    for tid in state.prev_replay_batch:
-        rec = by_id.get(tid)
-        if rec is not None:
+    for rec in state.buffer:
+        if rec.task_id in previous:
             rec.colearnability = value
             written = value
-    state.prev_replay_batch = pres
+    state.prev_replay_batch = list(posts)
     return written
 
 
@@ -285,9 +262,8 @@ def _new_record(state, level, metrics, score):
         task_id=state.next_task_id,
         level=level,
         metrics=metrics,
-        history=[(state.t, score.combined)],
+        score=score.combined,
         last_sampled=state.t,
-        created_at=state.t,
     )
     state.next_task_id += 1
     return record
@@ -358,16 +334,16 @@ def _replay_step(state, student, predictor, alpha, mutation_enabled, rng):
     cfg = state.cfg
     records, probs = sample_replay_batch(state, rng)
     rows = []
-    posts = {}
+    pres, posts = {}, {}
     for rec, prob in zip(records, probs):
         trajs = _rollout(state, student, rec.level, rng)
         _train_student(state, student, trajs, rng)
         score = _score_and_fit(state, predictor, trajs, alpha)
-        rec.history.append((state.t, score.combined))
-        posts[rec.task_id] = score.combined
+        pres[rec.task_id] = rec.score
+        rec.score = posts[rec.task_id] = score.combined
         rows.append(_row(state, "replay", rec.task_id, score, rec.metrics, rec.colearnability, prob))
-    written = update_colearnability(state, posts)
-    if mutation_enabled and cfg.num_mutations > 0:
+    written = update_colearnability(state, pres, posts)
+    if mutation_enabled:
         for parent in select_mutation_parents(records, posts, cfg.num_mutations):
             variant = mutate_level(parent.level, cfg.num_edits, cfg.max_blocks, rng)
             trajs = _rollout(state, student, variant, rng)

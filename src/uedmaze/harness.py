@@ -34,7 +34,7 @@ from .errors import ConfigError
 from .levels import level_from_dict, level_metrics, level_to_dict
 from .nn import FlatParams
 
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
 
 LOG_COLUMNS = tuple(f.name for f in dataclasses.fields(LogRow))
 
@@ -261,15 +261,14 @@ def save_buffer_snapshot(path, state: CurriculumState):
     data = {
         "t": state.t,
         "next_task_id": state.next_task_id,
-        "prev_replay_batch": {str(k): v for k, v in state.prev_replay_batch.items()},
+        "prev_replay_batch": state.prev_replay_batch,
         "tasks": [
             {
                 "task_id": rec.task_id,
                 "level": level_to_dict(rec.level),
-                "history": [[t, v] for t, v in rec.history],
+                "score": rec.score,
                 "colearnability": rec.colearnability,
                 "last_sampled": rec.last_sampled,
-                "created_at": rec.created_at,
             }
             for rec in state.buffer
         ],
@@ -283,7 +282,7 @@ def load_buffer_snapshot(path, cfg):
     with open(path) as fh:
         data = json.load(fh)
     state = CurriculumState(cfg=cfg, t=int(data["t"]), next_task_id=int(data["next_task_id"]))
-    state.prev_replay_batch = {int(k): float(v) for k, v in data["prev_replay_batch"].items()}
+    state.prev_replay_batch = [int(tid) for tid in data["prev_replay_batch"]]
     for item in data["tasks"]:
         level = level_from_dict(item["level"])
         state.buffer.append(
@@ -291,10 +290,9 @@ def load_buffer_snapshot(path, cfg):
                 task_id=int(item["task_id"]),
                 level=level,
                 metrics=level_metrics(level),
-                history=[(int(t), float(v)) for t, v in item["history"]],
+                score=float(item["score"]),
                 colearnability=float(item["colearnability"]),
                 last_sampled=None if item["last_sampled"] is None else int(item["last_sampled"]),
-                created_at=int(item["created_at"]),
             )
         )
     return state
@@ -339,13 +337,19 @@ def complexity_series(rows, window):
 
 
 def emit_report(run_dir, window=None):
-    """Digest a run directory into CSV series and SVG charts under <run>/report/."""
+    """Digest a run directory into CSV series and SVG charts under <run>/report/.
+
+    window is the number of updates per aggregation window (>= 1); None picks
+    about 30 windows over the run.
+    """
+    if window is not None and window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
     run = Path(run_dir)
     rows = _read_log(run)
     if not rows:
         raise ValueError(f"no log rows in {run}")
-    max_t = max(int(r["t"]) for r in rows)
-    window = window or max(1, (max_t + 1) // 30)
+    if window is None:
+        window = max(1, (max(int(r["t"]) for r in rows) + 1) // 30)
     series = complexity_series(rows, window)
     report_dir = run / "report"
     report_dir.mkdir(exist_ok=True)

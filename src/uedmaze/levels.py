@@ -212,11 +212,6 @@ def save_level(level, path):
         fh.write("\n")
 
 
-def load_level(path):
-    with open(path) as fh:
-        return level_from_dict(json.load(fh))
-
-
 def render_ascii(level):
     """Debug rendering: '#' wall, '.' free, 'G' goal, agent as ^/>/v/< by facing."""
     rows = []

@@ -174,9 +174,9 @@ class FlatParams:
 
 
 def clip_grad_norm(grad, max_norm):
-    """Scale grad down to global L2 norm max_norm; no-op when already within."""
+    """Scale grad down to global L2 norm max_norm (> 0); no-op when already within."""
     norm = float(np.linalg.norm(grad))
-    if max_norm > 0 and norm > max_norm:
+    if norm > max_norm:
         return grad * (max_norm / norm), norm
     return grad, norm
 

@@ -28,7 +28,6 @@ from .dynamics import trajectory_transitions
 class RegretScore:
     pvl: float
     atpl: float
-    alpha: float
     combined: float
 
 
@@ -74,5 +73,5 @@ def approx_regret(pvl, atpl, alpha):
     if alpha < 0:
         raise ValueError(f"alpha must be non-negative, got {alpha}")
     pvl, atpl = float(pvl), float(atpl)
-    return RegretScore(pvl=pvl, atpl=atpl, alpha=alpha, combined=pvl + alpha * atpl)
+    return RegretScore(pvl=pvl, atpl=atpl, combined=pvl + alpha * atpl)
 

