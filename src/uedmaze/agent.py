@@ -62,7 +62,6 @@ class PolicyNetwork:
     """Structure object: owns the layout, not the parameters."""
 
     def __init__(self, arch: PolicyArch = PolicyArch()):
-        self.arch = arch
         self.net = ChainSet(arch.chains())
 
     def init_params(self, rng) -> FlatParams:

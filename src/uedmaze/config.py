@@ -1,5 +1,11 @@
 """Run configuration: one INI file, sections mirroring the hyperparameter table.
 
+Each RunConfig field is declared once, by setting(): its INI section, its
+default and the rule its value obeys sit together. SECTIONS follows field
+order, a value is parsed by its default's type, and validation checks each
+field's rule, that every float setting is finite, then the rules that span
+fields. The network sizes take their defaults from PolicyArch and DynamicsArch.
+
 parse_config and dump_config round-trip exactly (floats via repr), so a config
 can be archived with its run and re-parsed bit-identically. Validation reports
 the section.key of the first offending field.
@@ -13,12 +19,10 @@ always ranks tasks (Robust PLR's rank prioritisation), so temperature must be
 finite and > 0. Gradients are always clipped, so max_grad_norm must be > 0.
 """
 
-from __future__ import annotations
-
 import configparser
 import io
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from importlib import resources
 
 from .agent import PolicyArch
@@ -27,51 +31,63 @@ from .errors import ConfigError
 
 MODES = ("traced", "accel", "plr", "dr", "traced-no-atpl", "traced-no-cl")
 
+# The rules a single setting obeys, keyed by the words of their error message.
+_RULES = {
+    "must be >= 0": lambda v: v >= 0,
+    "must be >= 1": lambda v: v >= 1,
+    "must be > 0": lambda v: v > 0,
+    "must be finite and > 0": lambda v: 0 < v < math.inf,
+    "must be in [0, 1]": lambda v: 0 <= v <= 1,
+    "must be in (0, 1]": lambda v: 0 < v <= 1,
+    "must be odd and >= 5": lambda v: v >= 5 and v % 2 == 1,
+    "need positive layer sizes": lambda v: len(v) > 0 and all(int(s) >= 1 for s in v),
+}
+
+
+def setting(section, default, rule=None):
+    """A RunConfig field: its INI section, its default and its rule (a key of _RULES, or None)."""
+    return field(default=default, metadata={"section": section, "rule": rule})
+
 
 @dataclass
 class RunConfig:
-    # run
-    mode: str = "traced"
-    seed: int = 0
-    total_updates: int = 300
-    eval_every: int = 0  # 0 = evaluate only at the end
-    eval_episodes: int = 10
-    checkpoint_every: int = 0  # 0 = checkpoint only at the end
-    eval_suite: str = "desk11"
-    # env
-    grid_width: int = 15
-    grid_height: int = 15
-    max_episode_steps: int = 250
-    min_blocks: int = 0
-    max_blocks: int = 60
-    # model
-    dir_embed_dim: int = 5
-    trunk_hidden: tuple = (64, 64)
-    head_hidden: tuple = (32, 32)
-    dynamics_hidden: tuple = (64, 64)
-    dynamics_learning_rate: float = 1e-3
-    # ppo
-    gamma: float = 0.995
-    gae_lambda: float = 0.95
-    rollout_length: int = 256
-    ppo_epochs: int = 5
-    clip_range: float = 0.2
-    num_workers: int = 16
-    adam_learning_rate: float = 1e-4
-    adam_eps: float = 1e-5
-    max_grad_norm: float = 0.5
-    value_loss_coef: float = 0.5
-    entropy_coef: float = 0.0
-    # teacher
-    alpha: float = 1.0
-    beta: float = 1.0
-    replay_rate: float = 0.8
-    buffer_size: int = 4000
-    num_edits: int = 5
-    batch_size: int = 4
-    num_mutations: int = 4
-    temperature: float = 0.3
-    staleness_coef: float = 0.3
+    mode: str = setting("run", "traced")
+    seed: int = setting("run", 0, "must be >= 0")
+    total_updates: int = setting("run", 300, "must be >= 1")
+    eval_every: int = setting("run", 0, "must be >= 0")  # 0 = evaluate only at the end
+    eval_episodes: int = setting("run", 10, "must be >= 1")
+    checkpoint_every: int = setting("run", 0, "must be >= 0")  # 0 = checkpoint only at the end
+    eval_suite: str = setting("run", "desk11")
+    grid_width: int = setting("env", 15, "must be odd and >= 5")
+    grid_height: int = setting("env", 15, "must be odd and >= 5")
+    max_episode_steps: int = setting("env", 250, "must be >= 1")
+    min_blocks: int = setting("env", 0, "must be >= 0")
+    max_blocks: int = setting("env", 60, "must be >= 0")
+    dir_embed_dim: int = setting("model", PolicyArch.dir_embed_dim, "must be >= 1")
+    trunk_hidden: tuple = setting("model", PolicyArch.trunk_hidden, "need positive layer sizes")
+    head_hidden: tuple = setting("model", PolicyArch.head_hidden, "need positive layer sizes")
+    dynamics_hidden: tuple = setting("model", DynamicsArch.hidden, "need positive layer sizes")
+    dynamics_learning_rate: float = setting("model", 1e-3, "must be > 0")
+    gamma: float = setting("ppo", 0.995, "must be in (0, 1]")
+    gae_lambda: float = setting("ppo", 0.95, "must be in [0, 1]")
+    rollout_length: int = setting("ppo", 256, "must be >= 1")
+    ppo_epochs: int = setting("ppo", 5, "must be >= 1")
+    clip_range: float = setting("ppo", 0.2, "must be > 0")
+    num_workers: int = setting("ppo", 16, "must be >= 1")
+    adam_learning_rate: float = setting("ppo", 1e-4, "must be > 0")
+    adam_eps: float = setting("ppo", 1e-5, "must be > 0")
+    max_grad_norm: float = setting("ppo", 0.5, "must be > 0")
+    value_loss_coef: float = setting("ppo", 0.5, "must be >= 0")
+    entropy_coef: float = setting("ppo", 0.0, "must be >= 0")
+    alpha: float = setting("teacher", 1.0, "must be >= 0")
+    beta: float = setting("teacher", 1.0, "must be >= 0")
+    replay_rate: float = setting("teacher", 0.8, "must be in [0, 1]")
+    buffer_size: int = setting("teacher", 4000, "must be >= 1")
+    num_edits: int = setting("teacher", 5, "must be >= 1")
+    batch_size: int = setting("teacher", 4, "must be >= 1")
+    num_mutations: int = setting("teacher", 4, "must be >= 0")
+    temperature: float = setting("teacher", 0.3, "must be finite and > 0")
+    staleness_coef: float = setting("teacher", 0.3, "must be in [0, 1]")
 
     def policy_arch(self) -> PolicyArch:
         return PolicyArch(
@@ -84,53 +100,23 @@ class RunConfig:
         return DynamicsArch(hidden=self.dynamics_hidden)
 
 
+_FIELDS = {f.name: f for f in fields(RunConfig)}
+# {section: its keys}, both in field order
 SECTIONS = {
-    "run": ("mode", "seed", "total_updates", "eval_every", "eval_episodes", "checkpoint_every", "eval_suite"),
-    "env": ("grid_width", "grid_height", "max_episode_steps", "min_blocks", "max_blocks"),
-    "model": ("dir_embed_dim", "trunk_hidden", "head_hidden", "dynamics_hidden", "dynamics_learning_rate"),
-    "ppo": (
-        "gamma",
-        "gae_lambda",
-        "rollout_length",
-        "ppo_epochs",
-        "clip_range",
-        "num_workers",
-        "adam_learning_rate",
-        "adam_eps",
-        "max_grad_norm",
-        "value_loss_coef",
-        "entropy_coef",
-    ),
-    "teacher": (
-        "alpha",
-        "beta",
-        "replay_rate",
-        "buffer_size",
-        "num_edits",
-        "batch_size",
-        "num_mutations",
-        "temperature",
-        "staleness_coef",
-    ),
+    section: tuple(name for name, f in _FIELDS.items() if f.metadata["section"] == section)
+    for section in dict.fromkeys(f.metadata["section"] for f in _FIELDS.values())
 }
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-_FIELD_SECTION = {key: section for section, keys in SECTIONS.items() for key in keys}
 
-
-def _parse_value(section, key, raw):
-    kind = _FIELD_TYPES[key]
+def _parse_value(f, raw):
+    """raw as the type of f's default; a tuple setting is comma-separated ints."""
     raw = raw.strip()
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "tuple":
+        if isinstance(f.default, tuple):
             return tuple(int(p) for p in raw.split(",") if p.strip())
-        return raw
+        return type(f.default)(raw)
     except ValueError as exc:
-        raise ConfigError(f"{section}.{key}: {exc}") from exc
+        raise ConfigError(f"{f.metadata['section']}.{f.name}: {exc}") from exc
 
 
 def _format_value(value):
@@ -155,7 +141,7 @@ def parse_config(text) -> RunConfig:
         for key, raw in parser.items(section):
             if key not in SECTIONS[section]:
                 raise ConfigError(f"unknown key {section}.{key}")
-            values[key] = _parse_value(section, key, raw)
+            values[key] = _parse_value(_FIELDS[key], raw)
     return validate_config(RunConfig(**values))
 
 
@@ -184,45 +170,20 @@ def dump_config(cfg: RunConfig) -> str:
 
 def validate_config(cfg: RunConfig) -> RunConfig:
     def fail(key, message):
-        raise ConfigError(f"{_FIELD_SECTION[key]}.{key}: {message}")
+        raise ConfigError(f"{_FIELDS[key].metadata['section']}.{key}: {message}")
 
     if cfg.mode not in MODES:
         fail("mode", f"must be one of {MODES}, got {cfg.mode!r}")
-    for key in ("total_updates", "eval_episodes", "max_episode_steps", "rollout_length",
-                "ppo_epochs", "num_workers", "buffer_size", "num_edits",
-                "batch_size", "dir_embed_dim"):
-        if getattr(cfg, key) < 1:
-            fail(key, f"must be >= 1, got {getattr(cfg, key)}")
-    for key in ("seed", "eval_every", "checkpoint_every", "min_blocks", "max_blocks", "num_mutations"):
-        if getattr(cfg, key) < 0:
-            fail(key, f"must be >= 0, got {getattr(cfg, key)}")
+    for f in _FIELDS.values():
+        value, rule = getattr(cfg, f.name), f.metadata["rule"]
+        if rule is not None and not _RULES[rule](value):
+            fail(f.name, f"{rule}, got {value}")
+        if isinstance(value, float) and not math.isfinite(value):
+            fail(f.name, f"must be finite, got {value}")
     if cfg.min_blocks > cfg.max_blocks:
         fail("min_blocks", f"must be <= max_blocks ({cfg.max_blocks}), got {cfg.min_blocks}")
-    for key in ("grid_width", "grid_height"):
-        v = getattr(cfg, key)
-        if v < 5 or v % 2 == 0:
-            fail(key, f"must be odd and >= 5, got {v}")
-    if not 0.0 < cfg.gamma <= 1.0:
-        fail("gamma", f"must be in (0, 1], got {cfg.gamma}")
-    if not 0.0 <= cfg.gae_lambda <= 1.0:
-        fail("gae_lambda", f"must be in [0, 1], got {cfg.gae_lambda}")
-    for key in ("clip_range", "adam_learning_rate", "adam_eps", "dynamics_learning_rate", "max_grad_norm"):
-        if not getattr(cfg, key) > 0:
-            fail(key, f"must be > 0, got {getattr(cfg, key)}")
-    for key in ("value_loss_coef", "entropy_coef", "alpha", "beta"):
-        if getattr(cfg, key) < 0:
-            fail(key, f"must be >= 0, got {getattr(cfg, key)}")
-    for key in ("replay_rate", "staleness_coef"):
-        if not 0.0 <= getattr(cfg, key) <= 1.0:
-            fail(key, f"must be in [0, 1], got {getattr(cfg, key)}")
     if cfg.num_mutations > cfg.batch_size:
         fail("num_mutations", f"must be <= batch_size ({cfg.batch_size}), got {cfg.num_mutations}")
-    if not (0 < cfg.temperature < math.inf):
-        fail("temperature", f"must be finite and > 0, got {cfg.temperature}")
-    for key in ("trunk_hidden", "head_hidden", "dynamics_hidden"):
-        sizes = getattr(cfg, key)
-        if not sizes or any(int(s) < 1 for s in sizes):
-            fail(key, f"need positive layer sizes, got {sizes}")
     if cfg.batch_size > cfg.buffer_size:
         fail("batch_size", f"must be <= buffer_size ({cfg.buffer_size}), got {cfg.batch_size}")
     return cfg

@@ -36,7 +36,6 @@ class DynamicsArch:
 
 class DynamicsModel:
     def __init__(self, arch: DynamicsArch = DynamicsArch()):
-        self.arch = arch
         self.net = ChainSet(arch.chains())
 
     def init_params(self, rng) -> FlatParams:

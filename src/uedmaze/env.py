@@ -85,23 +85,16 @@ def observation_table(level):
 
 
 class Observation:
-    """One read-only observation-table row. image: (5, 5, 4) one-hot cell classes; direction: (4,) one-hot facing."""
+    """One read-only observation-table row."""
 
     __slots__ = ("_row",)
 
     def __init__(self, row):
         self._row = row
 
-    @property
-    def image(self):
-        return self._row[:OBS_IMAGE_DIM].reshape(VIEW_SIZE, VIEW_SIZE, NUM_CELL_CLASSES)
-
-    @property
-    def direction(self):
-        return self._row[OBS_IMAGE_DIM:]
-
     def vector(self):
-        """Flat read-only float64 feature vector of length OBS_DIM (image C-order, then direction)."""
+        """Flat read-only float64 feature vector of length OBS_DIM: the (5, 5, 4) one-hot cell
+        classes of the egocentric view in C order, then the (4,) one-hot facing."""
         return self._row
 
 

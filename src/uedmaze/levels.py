@@ -82,7 +82,6 @@ class LevelMetrics:
 
     shortest_path_len: int | None
     num_blocks: int
-    solvable: bool
 
 
 def generate_random_level(width, height, max_blocks, rng, min_blocks=0):
@@ -175,7 +174,7 @@ def shortest_path_length(level):
 
 def level_metrics(level):
     path = shortest_path_length(level)
-    return LevelMetrics(shortest_path_len=path, num_blocks=len(level.walls), solvable=path is not None)
+    return LevelMetrics(shortest_path_len=path, num_blocks=len(level.walls))
 
 
 def level_to_dict(level):

@@ -1,6 +1,8 @@
 """The statistics tools/bench_pairs.py reports, on hand-made pairs of runs."""
 
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,3 +62,21 @@ def test_metrics_without_a_bound_or_a_direction_get_no_verdict():
     assert "verdict" not in summary["env.step_s"] and summary["env.step_s"]["better"] == "lower"
     assert "verdict" not in summary["unlisted"] and "better" not in summary["unlisted"]
     assert summary["unlisted"]["change_over_parent"] == 2.0
+
+
+def test_summary_reports_each_checkouts_src_line_count(tmp_path, monkeypatch, capsys):
+    for side, files in (("parent", {"a.py": "x = 1\ny = 2\n", "b.py": "z = 3\n"}), ("change", {"a.py": "x = 1\n"})):
+        package = tmp_path / side / "src" / "uedmaze"
+        package.mkdir(parents=True)
+        (package / "notes.txt").write_text("not counted\n")
+        for name, text in files.items():
+            (package / name).write_text(text)
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": list(SPECS.values())[:1]}))
+    result = {"correct": True, "metrics": {"run_s": {"value": 1.0}}}
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: result)
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "--parent", str(tmp_path / "parent"),
+                                      "--change", str(tmp_path / "change"), "--workload", "w", "--seeds", "0", "1"])
+    assert bench_pairs.main() == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "src/uedmaze/*.py lines: parent 3, change 1" in out
+    assert json.loads(out[-1])["src_lines"] == {"parent": 3, "change": 1}

@@ -1,6 +1,8 @@
+import configparser
 import dataclasses
 import json
 import xml.dom.minidom
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -118,6 +120,32 @@ def test_validation_catches_bad_values():
     for key in ("ppo_minibatches = 1", "value_clipping = true"):
         with pytest.raises(ConfigError, match="unknown key ppo."):
             parse_config(f"[ppo]\n{key}\n")
+
+
+FLOAT_KEYS = [(section, key) for section, keys in SECTIONS.items() for key in keys
+              if isinstance(getattr(RunConfig(), key), float)]
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf"])
+@pytest.mark.parametrize("section, key", FLOAT_KEYS, ids=[f"{s}.{k}" for s, k in FLOAT_KEYS])
+def test_every_float_setting_must_be_finite(section, key, raw):
+    # a nan alpha makes every logged combined score nan; an inf max_grad_norm turns gradient clipping off
+    with pytest.raises(ConfigError, match=f"^{section}.{key}: "):
+        parse_config(f"[{section}]\n{key} = {raw}\n")
+
+
+def test_dump_lists_sections_and_keys_in_preset_order():
+    # round-trip equality ignores order; config.ini is meant to read like the bundled presets
+    def order(text):
+        parser = configparser.ConfigParser()
+        parser.read_string(text)
+        return [(section, parser.options(section)) for section in parser.sections()]
+
+    presets = sorted(resources.files("uedmaze").joinpath("configs").iterdir(), key=lambda ref: ref.name)
+    assert [ref.name for ref in presets] == ["desk11.ini", "full15.ini"]
+    for ref in presets:
+        text = ref.read_text()
+        assert order(dump_config(parse_config(text))) == order(text), ref.name
 
 
 # ---------------------------------------------------------------------------

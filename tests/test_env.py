@@ -13,11 +13,19 @@ from uedmaze.env import (
     CLASS_WALL,
     MazeEnv,
     NUM_ACTIONS,
+    NUM_CELL_CLASSES,
     OBS_DIM,
     OBS_IMAGE_DIM,
+    VIEW_SIZE,
     observation_table,
 )
 from uedmaze.levels import Level
+
+
+def view_and_facing(obs):
+    """The observation's (5, 5, 4) one-hot cell classes and (4,) one-hot facing, read from vector()."""
+    vec = obs.vector()
+    return vec[:OBS_IMAGE_DIM].reshape(VIEW_SIZE, VIEW_SIZE, NUM_CELL_CLASSES), vec[OBS_IMAGE_DIM:]
 
 
 def corridor(goal_x=2):
@@ -82,34 +90,33 @@ def test_walls_and_border_block_movement():
 def test_view_is_egocentric_with_agent_bottom_center():
     # facing up: the cell directly ahead appears one row above the agent slot
     level = Level(7, 7, frozenset({(3, 2)}), (3, 3), 0, (5, 5)).validate()
-    obs = MazeEnv(level, 100).reset()
-    assert obs.image.shape == (5, 5, 4)
-    assert obs.image[3, 2, CLASS_WALL] == 1.0  # (3, 2) is straight ahead
-    assert obs.image[4, 2].sum() == 1.0  # agent's own cell is visible and empty
-    assert obs.direction.tolist() == [1.0, 0.0, 0.0, 0.0]
+    view, facing = view_and_facing(MazeEnv(level, 100).reset())
+    assert view[3, 2, CLASS_WALL] == 1.0  # (3, 2) is straight ahead
+    assert view[4, 2].sum() == 1.0  # agent's own cell is visible and empty
+    assert facing.tolist() == [1.0, 0.0, 0.0, 0.0]
 
 
 def test_view_rotates_with_the_agent():
     level = Level(7, 7, frozenset({(4, 3)}), (3, 3), 1, (5, 5)).validate()
-    obs = MazeEnv(level, 100).reset()  # facing right: (4, 3) is straight ahead
-    assert obs.image[3, 2, CLASS_WALL] == 1.0
-    assert obs.direction.tolist() == [0.0, 1.0, 0.0, 0.0]
+    view, facing = view_and_facing(MazeEnv(level, 100).reset())  # facing right: (4, 3) is straight ahead
+    assert view[3, 2, CLASS_WALL] == 1.0
+    assert facing.tolist() == [0.0, 1.0, 0.0, 0.0]
 
 
 def test_view_marks_out_of_bounds_and_goal():
     level = Level(5, 5, frozenset(), (1, 1), 0, (2, 1)).validate()
-    obs = MazeEnv(level, 100).reset()
+    view, _ = view_and_facing(MazeEnv(level, 100).reset())
     # facing up from (1, 1): two rows ahead is outside the grid entirely
-    assert obs.image[0, 2, CLASS_OOB] == 1.0
-    assert obs.image[4, 3, CLASS_GOAL] == 1.0  # goal right of the agent
+    assert view[0, 2, CLASS_OOB] == 1.0
+    assert view[4, 3, CLASS_GOAL] == 1.0  # goal right of the agent
 
 
 def test_observation_vector_layout():
     obs = MazeEnv(corridor(), 100).reset()
-    vec = obs.vector()
-    assert vec.shape == (OBS_DIM,)
-    assert np.array_equal(vec[:OBS_IMAGE_DIM], obs.image.reshape(-1))
-    assert np.array_equal(vec[OBS_IMAGE_DIM:], obs.direction)
+    assert obs.vector().shape == (OBS_DIM,)
+    view, facing = view_and_facing(obs)
+    assert np.array_equal(view.sum(axis=2), np.ones((VIEW_SIZE, VIEW_SIZE)))  # one class per viewed cell
+    assert facing.tolist() == [0.0, 1.0, 0.0, 0.0]
 
 
 def test_step_contract_violations_raise():
@@ -149,8 +156,6 @@ def test_observations_are_read_only():
     obs, _, _ = env.step(ACTION_LEFT)
     with pytest.raises(ValueError):
         obs.vector()[0] = 1.0
-    with pytest.raises(ValueError):
-        obs.image[0, 0, 0] = 1.0
 
 
 def test_equal_levels_share_one_table():

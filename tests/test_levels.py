@@ -105,7 +105,7 @@ def test_unsolvable_level_reports_none():
     level = Level(5, 5, walls, (1, 1), 0, (3, 3)).validate()
     assert shortest_path_length(level) is None
     metrics = level_metrics(level)
-    assert metrics.solvable is False
+    assert metrics.shortest_path_len is None
     assert metrics.num_blocks == 4
 
 

@@ -20,7 +20,8 @@ ones) also gets a no-regression verdict:
                 unless every change run beats every parent run;
     ok          otherwise.
 
-The last line of standard output is that summary as JSON. Directions and
+The summary also gives each checkout's line count of src/uedmaze/*.py. The
+last line of standard output is that summary as JSON. Directions and
 bounds come from the change's BENCHMARK.json; a metric it does not list is
 reported without a gain or a verdict. Exits 1 if any run failed or reported
 "correct": false.
@@ -65,6 +66,11 @@ def metric_specs(checkout):
     """{name: {"better", "bound"?, ...}} for every metric the checkout's BENCHMARK.json lists."""
     spec = json.loads((checkout / "BENCHMARK.json").read_text())
     return {m["name"]: m for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
+
+
+def src_lines(checkout):
+    """Lines in the checkout's src/uedmaze/*.py."""
+    return sum(len(path.read_text().splitlines()) for path in (checkout / "src" / "uedmaze").glob("*.py"))
 
 
 def quartiles(values):
@@ -138,7 +144,9 @@ def main():
         if results["parent"] is not None and results["change"] is not None:
             pairs.append((results["parent"], results["change"]))
     summary = summarize(pairs, metric_specs(args.change)) if pairs else {}
+    lines = {side: src_lines(getattr(args, side)) for side in ("parent", "change")}
     print(f"{args.workload}: {len(pairs)} pairs, seeds {args.seeds}")
+    print(f"src/uedmaze/*.py lines: parent {lines['parent']}, change {lines['change']}")
     print(f"{'metric':<28}{'parent median [q1, q3]':>36}{'change median [q1, q3]':>36}{'wins':>7}  gain   verdict")
     for name, s in summary.items():
         p = f"{s['parent_median']:.6g} [{s['parent_q1_q3'][0]:.6g}, {s['parent_q1_q3'][1]:.6g}]"
@@ -146,7 +154,7 @@ def main():
         gain = str(s.get("gain_holds", "-"))
         print(f"{name:<28}{p:>36}{c:>36}{s.get('change_wins', '-'):>7}  {gain:<6} {s.get('verdict', '-')}")
     print(json.dumps({"workload": args.workload, "trace": args.trace, "pairs": len(pairs), "seeds": args.seeds,
-                      "all_correct": not failed, "metrics": summary}))
+                      "all_correct": not failed, "src_lines": lines, "metrics": summary}))
     return 1 if failed else 0
 
 
