@@ -7,8 +7,11 @@ relu trunk; separate actor and critic heads produce action logits and the
 scalar value. The final actor layer starts at zero so the initial policy is
 exactly uniform.
 
-Rollouts run one forward per step; evaluation (harness.run_episodes) runs
-one per level and steps by PolicyTable lookups.
+Rollouts run a forward only on a step where some env reaches a state it has
+not visited in that rollout, and sample every other step from the outputs it
+kept, bit for bit as a forward per step would; evaluation
+(harness.run_episodes) runs one forward per level and steps by PolicyTable
+lookups.
 
 All updates are functional: ppo_update returns a fresh parameter object and
 never touches its input, which keeps no-gradient scoring rollouts trivially
@@ -100,23 +103,24 @@ def log_softmax(logits):
     return logits - m - np.log(np.exp(logits - m).sum(axis=1, keepdims=True))
 
 
-def sample_categorical(probs, uniforms):
-    """Inverse-CDF sampling, one uniform per row."""
-    cum = np.cumsum(probs, axis=1)
-    idx = (cum < uniforms[:, None]).sum(axis=1)
-    return np.minimum(idx, probs.shape[1] - 1)
+def action_cdf(logp):
+    """Cumulative action probabilities per row, omitting the last action, which takes what the others leave.
+
+    bisect_left(row, u) is the first action whose cumulative probability reaches u.
+    """
+    return np.cumsum(np.exp(logp), axis=1)[:, :-1]
 
 
 class PolicyTable:
     """The policy on every state of one level (row s: MazeEnv.state_index s), from one forward.
 
     The network has no memory and sees only (cell, facing): this is all of it.
-    cdf[s] omits the last action, which takes the probability the others leave.
+    cdf[s] is action_cdf's row for state s.
     """
 
     def __init__(self, policy, params, level):
         logits, _, _ = policy.forward(params.theta, observation_table(level).reshape(-1, OBS_DIM))
-        self.cdf = np.cumsum(np.exp(log_softmax(logits)), axis=1)[:, :-1].tolist()
+        self.cdf = action_cdf(log_softmax(logits)).tolist()
         self.greedy = logits.argmax(axis=1).tolist()
 
     def act(self, state, u=None):
@@ -164,12 +168,25 @@ def compute_gae(traj: Trajectory, gamma, lam):
     return traj
 
 
-def sample_actions(policy, params, obs, rng):
-    """(actions, chosen log-probs, values) as lists from one forward pass."""
-    logits, values, _ = policy.forward(params.theta, obs)
-    logp = log_softmax(logits)
-    actions = sample_categorical(np.exp(logp), rng.random(len(logits)))
-    return actions.tolist(), logp[np.arange(len(actions)), actions].tolist(), values.tolist()
+class _Episode:
+    """One env's running episode: the observation rows it visited and what each step recorded."""
+
+    __slots__ = ("states", "actions", "log_probs", "rewards", "values")
+
+    def __init__(self, state):
+        self.states = [state]
+        self.actions, self.log_probs, self.rewards, self.values = [], [], [], []
+
+    def trajectory(self, rows, terminal, bootstrap):
+        """The episode as a Trajectory, its observations gathered fresh from rows."""
+        return Trajectory(
+            observations=rows[self.states],
+            actions=np.array(self.actions, dtype=np.int64),
+            log_probs=np.array(self.log_probs),
+            rewards=np.array(self.rewards),
+            values=np.array(self.values + [0.0 if terminal else bootstrap]),
+            terminal=terminal,
+        )
 
 
 def collect_rollout(policy: PolicyNetwork, params: FlatParams, levels, horizon, max_episode_steps, rng):
@@ -178,53 +195,68 @@ def collect_rollout(policy: PolicyNetwork, params: FlatParams, levels, horizon, 
     Episodes auto-reset; each completed or horizon-cut episode becomes one
     Trajectory. observations[0] is the observation the first action was
     chosen from (the reset observation), and each trajectory's observations
-    are a fresh array, aliasing neither the working observation batch (written
-    in place each step) nor the envs' read-only observation tables. Parameters
-    are read-only. Returns the trajectories in (env index, episode start) order.
+    are one fresh gather from its level's observation table. Parameters are
+    read-only. Returns the trajectories in (env index, episode start) order.
+
+    Each env keeps the policy's outputs (cumulative probabilities, log-probs,
+    value) for every state it has visited. A step runs a forward on all n
+    envs' observations only when some env stands on a state it has not kept,
+    and keeps every row; otherwise each env samples from its kept row, by the
+    same inverse CDF as PolicyTable.act. A forward row's bits depend only on
+    the row count, the row's position and its contents, so env i's kept row
+    for state s is what any later n-row forward would give there: the result
+    is bit for bit that of a forward on every step. One uniform per env per
+    step, and every env step goes through MazeEnv.step.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
+    if not levels:
+        raise ValueError("collect_rollout needs at least one level")
     envs = [MazeEnv(level, max_episode_steps) for level in levels]
     n = len(envs)
-    obs = np.stack([e.reset().vector() for e in envs])
-    buffers = [dict(obs=[obs[i].copy()], actions=[], log_probs=[], rewards=[], values=[]) for i in range(n)]
-    done_trajs = [[] for _ in range(n)]
+    # the observation rows of each distinct level, one after another: env i's state s is row base[i] + s
+    offsets, tables = {}, []
+    for env in envs:
+        if env.level not in offsets:
+            offsets[env.level] = sum(map(len, tables))
+            tables.append(env.table.reshape(-1, OBS_DIM))
+    rows = tables[0] if len(tables) == 1 else np.concatenate(tables)
+    base = [offsets[env.level] for env in envs]
+    kept = [{} for _ in envs]  # per env: row -> (cdf, log-probs, value)
 
-    def finalize(i, terminal, bootstrap):
-        b = buffers[i]
-        if not b["actions"]:
-            return
-        done_trajs[i].append(
-            Trajectory(
-                observations=np.stack(b["obs"]),
-                actions=np.array(b["actions"], dtype=np.int64),
-                log_probs=np.array(b["log_probs"]),
-                rewards=np.array(b["rewards"]),
-                values=np.array(b["values"] + [0.0 if terminal else bootstrap]),
-                terminal=terminal,
-            )
-        )
+    def outputs(states):
+        """Each env's kept outputs at its row, after one forward on all n rows if any is new."""
+        if any(s not in k for k, s in zip(kept, states)):
+            logits, values, _ = policy.forward(params.theta, rows[states])
+            logp = log_softmax(logits)
+            for k, s, out in zip(kept, states, zip(action_cdf(logp).tolist(), logp.tolist(), values.tolist())):
+                k[s] = out
+        return [k[s] for k, s in zip(kept, states)]
 
+    for env in envs:
+        env.reset()
+    states = [b + env.state_index for b, env in zip(base, envs)]
+    episodes = [_Episode(s) for s in states]
+    done_trajs = [[] for _ in envs]
     for _ in range(horizon):
-        actions, log_probs, values = sample_actions(policy, params, obs, rng)
-        for i, env in enumerate(envs):
-            a = actions[i]
-            o, r, done = env.step(a)
-            b = buffers[i]
-            b["actions"].append(a)
-            b["log_probs"].append(log_probs[i])
-            b["rewards"].append(r)
-            b["values"].append(values[i])
-            b["obs"].append(o.vector())
+        for i, ((cdf, logp, value), u) in enumerate(zip(outputs(states), rng.random(n).tolist())):
+            env, ep = envs[i], episodes[i]
+            a = bisect_left(cdf, u)
+            _, r, done = env.step(a)
+            ep.actions.append(a)
+            ep.log_probs.append(logp[a])
+            ep.rewards.append(r)
+            ep.values.append(value)
+            ep.states.append(base[i] + env.state_index)
             if done:
-                finalize(i, terminal=True, bootstrap=0.0)
-                o = env.reset()
-                buffers[i] = dict(obs=[o.vector()], actions=[], log_probs=[], rewards=[], values=[])
-            obs[i] = o.vector()
+                done_trajs[i].append(ep.trajectory(rows, terminal=True, bootstrap=0.0))
+                env.reset()
+                episodes[i] = ep = _Episode(base[i] + env.state_index)
+            states[i] = ep.states[-1]
     # bootstrap whatever is still running
-    _, tail_values, _ = policy.forward(params.theta, obs)
-    for i in range(n):
-        finalize(i, terminal=False, bootstrap=float(tail_values[i]))
+    for i, (ep, (_, _, value)) in enumerate(zip(episodes, outputs(states))):
+        if ep.actions:
+            done_trajs[i].append(ep.trajectory(rows, terminal=False, bootstrap=value))
     return [traj for per_env in done_trajs for traj in per_env]
 
 

@@ -2,9 +2,11 @@
 
 Each RunConfig field is declared once, by setting(): its INI section, its
 default and the rule its value obeys sit together. SECTIONS follows field
-order, a value is parsed by its default's type, and validation checks each
-field's rule, that every float setting is finite, then the rules that span
-fields. The network sizes take their defaults from PolicyArch and DynamicsArch.
+order, a value is parsed by its default's type, and validation checks that
+each field has its default's type (a float setting also takes an int, and no
+setting takes a bool), then its rule, that every float setting is finite,
+then the rules that span fields. The network sizes take their defaults from
+PolicyArch and DynamicsArch.
 
 parse_config and dump_config round-trip exactly (floats via repr), so a config
 can be archived with its run and re-parsed bit-identically. Validation reports
@@ -40,7 +42,7 @@ _RULES = {
     "must be in [0, 1]": lambda v: 0 <= v <= 1,
     "must be in (0, 1]": lambda v: 0 < v <= 1,
     "must be odd and >= 5": lambda v: v >= 5 and v % 2 == 1,
-    "need positive layer sizes": lambda v: len(v) > 0 and all(int(s) >= 1 for s in v),
+    "need positive layer sizes": lambda v: len(v) > 0 and all(s >= 1 for s in v),
 }
 
 
@@ -106,6 +108,18 @@ SECTIONS = {
     section: tuple(name for name, f in _FIELDS.items() if f.metadata["section"] == section)
     for section in dict.fromkeys(f.metadata["section"] for f in _FIELDS.values())
 }
+
+
+def _type_problem(value, default):
+    """Why value cannot stand where default does, or None: it needs the default's type, but a
+    float setting also takes an int, no setting takes a bool, and a tuple setting holds ints."""
+    if isinstance(default, tuple):
+        ok = isinstance(value, tuple) and all(isinstance(v, int) and not isinstance(v, bool) for v in value)
+        return None if ok else f"must be a tuple of ints, got {value!r}"
+    allowed = (int, float) if isinstance(default, float) else type(default)
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        return f"must be of type {type(default).__name__}, got {value!r}"
+    return None
 
 
 def _parse_value(f, raw):
@@ -176,6 +190,9 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         fail("mode", f"must be one of {MODES}, got {cfg.mode!r}")
     for f in _FIELDS.values():
         value, rule = getattr(cfg, f.name), f.metadata["rule"]
+        problem = _type_problem(value, f.default)
+        if problem is not None:
+            fail(f.name, problem)
         if rule is not None and not _RULES[rule](value):
             fail(f.name, f"{rule}, got {value}")
         if isinstance(value, float) and not math.isfinite(value):

@@ -107,7 +107,7 @@ class MazeEnv:
         level.validate()
         self.level = level
         self.max_episode_steps = max_episode_steps
-        self._table = observation_table(level)
+        self.table = observation_table(level)  # read-only; .reshape(-1, OBS_DIM)[state_index] is the observation
         self.agent_pos = level.agent_pos
         self.agent_dir = level.agent_dir
         self.t = 0
@@ -156,4 +156,4 @@ class MazeEnv:
 
     def _observe(self):
         x, y = self.agent_pos
-        return Observation(self._table[y, x, self.agent_dir])
+        return Observation(self.table[y, x, self.agent_dir])

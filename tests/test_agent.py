@@ -12,13 +12,14 @@ from uedmaze.agent import (
     log_softmax,
     ppo_loss_and_grad,
     ppo_update,
-    sample_categorical,
 )
 from uedmaze.config import RunConfig
 from uedmaze.env import NUM_ACTIONS, OBS_DIM, MazeEnv, observation_table
 from uedmaze.levels import Level, generate_random_level
 from uedmaze.nn import FlatParams
 from uedmaze.oracle import check_policy_gradient, naive_gae
+
+from test_policy_table import sample_categorical
 
 TINY = PolicyArch(dir_embed_dim=3, trunk_hidden=(16,), head_hidden=(8,))
 

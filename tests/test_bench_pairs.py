@@ -80,3 +80,32 @@ def test_summary_reports_each_checkouts_src_line_count(tmp_path, monkeypatch, ca
     out = capsys.readouterr().out.splitlines()
     assert "src/uedmaze/*.py lines: parent 3, change 1" in out
     assert json.loads(out[-1])["src_lines"] == {"parent": 3, "change": 1}
+
+
+def test_several_workloads_run_in_turn_each_with_its_table_and_summary(tmp_path, monkeypatch, capsys):
+    for side in ("parent", "change"):
+        (tmp_path / side / "src" / "uedmaze").mkdir(parents=True)
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": list(SPECS.values())[:1]}))
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds, trace):
+        calls.append((checkout.name, workload, seed))
+        return {"correct": workload != "bad", "metrics": {"run_s": {"value": 2.0 if workload == "b" else 1.0}}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    argv = ["bench_pairs.py", "--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+            "--seeds", "0", "1", "--out", str(tmp_path / "runs.jsonl"), "--workload"]
+    monkeypatch.setattr(sys, "argv", argv + ["a", "b"])
+    assert bench_pairs.main() == 0
+    assert calls == [("parent", "a", 0), ("change", "a", 0), ("change", "a", 1), ("parent", "a", 1),
+                     ("parent", "b", 0), ("change", "b", 0), ("change", "b", 1), ("parent", "b", 1)]
+    out = capsys.readouterr().out.splitlines()
+    summaries = [json.loads(line) for line in out if line.startswith("{")]
+    assert [(s["workload"], s["metrics"]["run_s"]["parent_median"]) for s in summaries] == [("a", 1.0), ("b", 2.0)]
+    first_table, first_summary = out.index("a: 2 pairs, seeds [0, 1]"), out.index(json.dumps(summaries[0]))
+    assert first_table < first_summary < out.index("b: 2 pairs, seeds [0, 1]")
+    logged = [json.loads(line) for line in (tmp_path / "runs.jsonl").read_text().splitlines()]
+    assert [line["workload"] for line in logged] == ["a"] * 4 + ["b"] * 4
+    monkeypatch.setattr(sys, "argv", argv + ["bad", "a"])
+    assert bench_pairs.main() == 1  # one failed workload fails the command, after the others ran
+    assert calls[-1] == ("parent", "a", 1)

@@ -9,7 +9,7 @@ import pytest
 
 import uedmaze.oracle as oracle
 from uedmaze.cli import main
-from uedmaze.config import SECTIONS, RunConfig, dump_config, load_preset, parse_config
+from uedmaze.config import SECTIONS, RunConfig, dump_config, load_preset, parse_config, validate_config
 from uedmaze.env import ACTION_FORWARD, NUM_ACTIONS
 from uedmaze.errors import ConfigError
 from uedmaze.harness import (
@@ -132,6 +132,24 @@ def test_every_float_setting_must_be_finite(section, key, raw):
     # a nan alpha makes every logged combined score nan; an inf max_grad_norm turns gradient clipping off
     with pytest.raises(ConfigError, match=f"^{section}.{key}: "):
         parse_config(f"[{section}]\n{key} = {raw}\n")
+
+
+@pytest.mark.parametrize(
+    "key, value, where",
+    [
+        ("rollout_length", 12.5, "ppo.rollout_length"),
+        ("num_workers", True, "ppo.num_workers"),  # a bool is an int to Python, never a setting
+        ("trunk_hidden", (8.7,), "model.trunk_hidden"),
+        ("seed", "3", "run.seed"),
+    ],
+)
+def test_validation_rejects_a_value_of_the_wrong_type(key, value, where):
+    with pytest.raises(ConfigError, match=f"^{where}: must be "):
+        validate_config(dataclasses.replace(RunConfig(), **{key: value}))
+
+
+def test_validation_takes_an_int_for_a_float_setting():
+    assert validate_config(dataclasses.replace(RunConfig(), alpha=2)).alpha == 2
 
 
 def test_dump_lists_sections_and_keys_in_preset_order():

@@ -1,11 +1,13 @@
 """Paired benchmark runs of two checkouts, with the statistics a gain claim needs.
 
-    python3 tools/bench_pairs.py --parent DIR --change DIR --workload heldout-eval \
+    python3 tools/bench_pairs.py --parent DIR --change DIR \
+        --workload desk11-traced full15-traced heldout-eval \
         --seeds 0 1 2 3 4 5 6 7 8 9 --out runs.jsonl
 
-Runs each checkout's own bench/run.py once per seed, never two runs at once,
-and alternates which side goes first: the parent in even pairs, the change in
-odd ones. Each run's JSON line is appended to --out as
+Takes the workloads one after another. For each, runs each checkout's own
+bench/run.py once per seed, never two runs at once, and alternates which
+side goes first: the parent in even pairs, the change in odd ones. Each
+run's JSON line is appended to --out as
 {"side", "workload", "seed", "trace", "result"}. Then it prints, for every
 metric, each side's median and quartiles, the change's wins (ties count for
 neither side) and whether a gain claim would hold: the change wins at least
@@ -20,10 +22,11 @@ ones) also gets a no-regression verdict:
                 unless every change run beats every parent run;
     ok          otherwise.
 
-The summary also gives each checkout's line count of src/uedmaze/*.py. The
-last line of standard output is that summary as JSON. Directions and
-bounds come from the change's BENCHMARK.json; a metric it does not list is
-reported without a gain or a verdict. Exits 1 if any run failed or reported
+The summary also gives each checkout's line count of src/uedmaze/*.py. Each
+workload's table ends with that summary as one JSON line, so the last line
+of standard output is the last workload's. Directions and bounds come from
+the change's BENCHMARK.json; a metric it does not list is reported without a
+gain or a verdict. Exits 1 if any run of any workload failed or reported
 "correct": false.
 """
 
@@ -39,7 +42,7 @@ def parse_args():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
     parser.add_argument("--change", required=True, type=Path, help="checkout of the change")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, nargs="+", help="one or more workloads, run in turn")
     parser.add_argument("--seeds", required=True, type=int, nargs="+")
     parser.add_argument("--seconds", type=float, default=40.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
@@ -126,26 +129,26 @@ def summarize(pairs, specs):
     return summary
 
 
-def main():
-    args = parse_args()
+def compare(args, workload):
+    """Run the pairs of one workload and print its table and JSON summary line; False if any run failed."""
     pairs = []
     failed = False
     for k, seed in enumerate(args.seeds):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         results = {}
         for side in order:
-            result = run_once(getattr(args, side), args.workload, seed, args.seconds, args.trace)
+            result = run_once(getattr(args, side), workload, seed, args.seconds, args.trace)
             results[side] = result
             failed |= result is None or not result.get("correct", False)
             if args.out and result is not None:
-                line = {"side": side, "workload": args.workload, "seed": seed, "trace": args.trace, "result": result}
+                line = {"side": side, "workload": workload, "seed": seed, "trace": args.trace, "result": result}
                 with open(args.out, "a") as fh:
                     fh.write(json.dumps(line) + "\n")
         if results["parent"] is not None and results["change"] is not None:
             pairs.append((results["parent"], results["change"]))
     summary = summarize(pairs, metric_specs(args.change)) if pairs else {}
     lines = {side: src_lines(getattr(args, side)) for side in ("parent", "change")}
-    print(f"{args.workload}: {len(pairs)} pairs, seeds {args.seeds}")
+    print(f"{workload}: {len(pairs)} pairs, seeds {args.seeds}")
     print(f"src/uedmaze/*.py lines: parent {lines['parent']}, change {lines['change']}")
     print(f"{'metric':<28}{'parent median [q1, q3]':>36}{'change median [q1, q3]':>36}{'wins':>7}  gain   verdict")
     for name, s in summary.items():
@@ -153,9 +156,15 @@ def main():
         c = f"{s['change_median']:.6g} [{s['change_q1_q3'][0]:.6g}, {s['change_q1_q3'][1]:.6g}]"
         gain = str(s.get("gain_holds", "-"))
         print(f"{name:<28}{p:>36}{c:>36}{s.get('change_wins', '-'):>7}  {gain:<6} {s.get('verdict', '-')}")
-    print(json.dumps({"workload": args.workload, "trace": args.trace, "pairs": len(pairs), "seeds": args.seeds,
-                      "all_correct": not failed, "src_lines": lines, "metrics": summary}))
-    return 1 if failed else 0
+    print(json.dumps({"workload": workload, "trace": args.trace, "pairs": len(pairs), "seeds": args.seeds,
+                      "all_correct": not failed, "src_lines": lines, "metrics": summary}), flush=True)
+    return not failed
+
+
+def main():
+    args = parse_args()
+    ok = [compare(args, workload) for workload in args.workload]
+    return 0 if all(ok) else 1
 
 
 if __name__ == "__main__":
