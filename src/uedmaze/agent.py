@@ -7,11 +7,12 @@ relu trunk; separate actor and critic heads produce action logits and the
 scalar value. The final actor layer starts at zero so the initial policy is
 exactly uniform.
 
-Rollouts run a forward only on a step where some env reaches a state it has
-not visited in that rollout, and sample every other step from the outputs it
-kept, bit for bit as a forward per step would; evaluation
-(harness.run_episodes) runs one forward per level and steps by PolicyTable
-lookups.
+Rollouts draw their uniforms up front and let each env run ahead on the
+outputs it kept per state until it reaches a state new to it; one forward
+then serves every stalled env at once, bit for bit as a forward per step
+would. A rollout runs as many forwards as the most distinct states any one
+env needs outputs for. Evaluation (harness.run_episodes) runs one forward per
+level and steps by PolicyTable lookups.
 
 All updates are functional: ppo_update returns a fresh parameter object and
 never touches its input, which keeps no-gradient scoring rollouts trivially
@@ -157,11 +158,13 @@ def compute_gae(traj: Trajectory, gamma, lam):
     """Fill td_errors, advantages (reverse recursion), and returns; returns traj."""
     values = traj.values
     deltas = traj.rewards + gamma * values[1:] - values[:-1]
-    adv = np.empty_like(deltas)
+    g = gamma * lam
     acc = 0.0
-    for t in range(len(deltas) - 1, -1, -1):
-        acc = deltas[t] + gamma * lam * acc
-        adv[t] = acc
+    adv = []
+    for delta in reversed(deltas.tolist()):
+        acc = delta + g * acc
+        adv.append(acc)
+    adv = np.array(adv[::-1])
     traj.td_errors = deltas
     traj.advantages = adv
     traj.returns = adv + values[:-1]
@@ -198,15 +201,22 @@ def collect_rollout(policy: PolicyNetwork, params: FlatParams, levels, horizon, 
     are one fresh gather from its level's observation table. Parameters are
     read-only. Returns the trajectories in (env index, episode start) order.
 
+    All uniforms are drawn up front as rng.random((horizon, n)), the same
+    stream as one rng.random(n) per step; env i's step t takes entry [t, i].
     Each env keeps the policy's outputs (cumulative probabilities, log-probs,
-    value) for every state it has visited. A step runs a forward on all n
-    envs' observations only when some env stands on a state it has not kept,
-    and keeps every row; otherwise each env samples from its kept row, by the
-    same inverse CDF as PolicyTable.act. A forward row's bits depend only on
-    the row count, the row's position and its contents, so env i's kept row
-    for state s is what any later n-row forward would give there: the result
-    is bit for bit that of a forward on every step. One uniform per env per
-    step, and every env step goes through MazeEnv.step.
+    value) per state, and runs ahead on its own: it samples from its kept
+    outputs, by the same inverse CDF as PolicyTable.act, until it stands on a
+    state it has not kept. When every env is stalled there or done, one
+    forward on all n envs' current observations clears every stall, and
+    each env keeps its row. A forward row's bits depend only on the row
+    count, the row's position and its contents, so env i's kept row for
+    state s is what any n-row forward would give there: the result is bit
+    for bit that of a forward on every step. Only a state an env acts from,
+    and a horizon-cut episode's final state (its bootstrap), need outputs, so
+    the rollout runs as many forwards as the most such distinct states any
+    one env reaches. Every env step goes through MazeEnv.step. If a forward
+    raises FloatingPointError, rng has already drawn every uniform, unlike
+    the per-step loop.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -222,41 +232,51 @@ def collect_rollout(policy: PolicyNetwork, params: FlatParams, levels, horizon, 
             tables.append(env.table.reshape(-1, OBS_DIM))
     rows = tables[0] if len(tables) == 1 else np.concatenate(tables)
     base = [offsets[env.level] for env in envs]
+    uniforms = rng.random((horizon, n)).T.tolist()  # env i's uniform for its step t is uniforms[i][t]
     kept = [{} for _ in envs]  # per env: row -> (cdf, log-probs, value)
-
-    def outputs(states):
-        """Each env's kept outputs at its row, after one forward on all n rows if any is new."""
-        if any(s not in k for k, s in zip(kept, states)):
-            logits, values, _ = policy.forward(params.theta, rows[states])
-            logp = log_softmax(logits)
-            for k, s, out in zip(kept, states, zip(action_cdf(logp).tolist(), logp.tolist(), values.tolist())):
-                k[s] = out
-        return [k[s] for k, s in zip(kept, states)]
-
     for env in envs:
         env.reset()
-    states = [b + env.state_index for b, env in zip(base, envs)]
-    episodes = [_Episode(s) for s in states]
+    episodes = [_Episode(b + env.state_index) for b, env in zip(base, envs)]
     done_trajs = [[] for _ in envs]
-    for _ in range(horizon):
-        for i, ((cdf, logp, value), u) in enumerate(zip(outputs(states), rng.random(n).tolist())):
-            env, ep = envs[i], episodes[i]
-            a = bisect_left(cdf, u)
+    steps = [0] * n
+
+    def run_ahead(i):
+        """Step env i on its kept outputs until it stands on a row it has not kept or reaches the horizon; its row."""
+        env, k, us, b, ep, t = envs[i], kept[i], uniforms[i], base[i], episodes[i], steps[i]
+        s = ep.states[-1]
+        while t < horizon and s in k:
+            cdf, logp, value = k[s]
+            a = bisect_left(cdf, us[t])
             _, r, done = env.step(a)
+            t += 1
             ep.actions.append(a)
             ep.log_probs.append(logp[a])
             ep.rewards.append(r)
             ep.values.append(value)
-            ep.states.append(base[i] + env.state_index)
+            s = b + env.state_index
+            ep.states.append(s)
             if done:
                 done_trajs[i].append(ep.trajectory(rows, terminal=True, bootstrap=0.0))
                 env.reset()
-                episodes[i] = ep = _Episode(base[i] + env.state_index)
-            states[i] = ep.states[-1]
-    # bootstrap whatever is still running
-    for i, (ep, (_, _, value)) in enumerate(zip(episodes, outputs(states))):
+                s = b + env.state_index
+                episodes[i] = ep = _Episode(s)
+        steps[i] = t
+        return s
+
+    while True:
+        # an env at the horizon needs outputs only for a cut episode's final state, its bootstrap: a reset
+        # state is always kept, since each env acts from it on its first step
+        states = [run_ahead(i) for i in range(n)]
+        if all(s in k for k, s in zip(kept, states)):
+            break
+        logits, values, _ = policy.forward(params.theta, rows[states])
+        logp = log_softmax(logits)
+        for k, s, out in zip(kept, states, zip(action_cdf(logp).tolist(), logp.tolist(), values.tolist())):
+            k[s] = out
+    # bootstrap whatever the horizon cut
+    for i, (ep, k) in enumerate(zip(episodes, kept)):
         if ep.actions:
-            done_trajs[i].append(ep.trajectory(rows, terminal=False, bootstrap=value))
+            done_trajs[i].append(ep.trajectory(rows, terminal=False, bootstrap=k[ep.states[-1]][2]))
     return [traj for per_env in done_trajs for traj in per_env]
 
 

@@ -67,6 +67,31 @@ def test_gae_matches_naive_oracle():
         assert np.max(np.abs(traj.advantages - naive_gae(traj.td_errors, gamma, lam))) < 1e-10
 
 
+def per_element_gae(rewards, values, gamma, lam):
+    """The reverse recursion on numpy scalars, one array element at a time: compute_gae's earlier form."""
+    deltas = rewards + gamma * values[1:] - values[:-1]
+    adv = np.empty_like(deltas)
+    acc = 0.0
+    for t in range(len(deltas) - 1, -1, -1):
+        acc = deltas[t] + gamma * lam * acc
+        adv[t] = acc
+    return deltas, adv, adv + values[:-1]
+
+
+def test_gae_over_python_floats_keeps_the_per_element_bits():
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        n = int(rng.integers(1, 260))
+        rewards = np.where(rng.random(n) < 0.1, rng.random(n), 0.0)
+        values = rng.normal(size=n + 1)
+        gamma, lam = (0.995, 0.95) if rng.random() < 0.5 else (float(rng.uniform(0.5, 1.0)), float(rng.random()))
+        traj = make_traj(rewards, values, gamma, lam)
+        for got, want in zip((traj.td_errors, traj.advantages, traj.returns),
+                             per_element_gae(rewards, values, gamma, lam)):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+
+
 def test_sample_categorical_inverse_cdf():
     probs = np.array([[0.2, 0.5, 0.3]])
     assert sample_categorical(probs, np.array([0.1]))[0] == 0

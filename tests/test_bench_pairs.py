@@ -55,6 +55,22 @@ def test_gain_needs_nine_tenths_of_pairs_and_a_median_gap_beyond_the_parent_iqr(
     assert entry["change_wins"] == 8 and entry["gain_holds"] is False
 
 
+def test_per_pair_ratios_stay_tight_when_both_sides_drift_together():
+    # each side's runs spread 5x, but every change run is 10% faster than its own pair's parent run
+    parent = [10.0, 20.0, 30.0, 40.0, 50.0]
+    change = [11.0, 22.0, 33.0, 44.0, 55.0]
+    entry = bench_pairs.summarize(pairs_of("env_steps_per_s", parent, change), SPECS)["env_steps_per_s"]
+    assert entry["pair_ratio_median"] == pytest.approx(1.1)
+    assert entry["pair_ratio_q1_q3"] == pytest.approx([1.1, 1.1])
+    assert entry["parent_q1_q3"] == [20.0, 40.0] and entry["verdict"] == "unresolved"  # the side statistics, as before
+    ratios = [0.9, 1.0, 1.2, 1.3]
+    entry = bench_pairs.summarize(pairs_of("run_s", [0.0, 1.0, 1.0, 1.0, 1.0], [5.0] + ratios), SPECS)["run_s"]
+    assert entry["pair_ratio_median"] == pytest.approx(1.1)  # the pair whose parent reads 0 is left out
+    assert entry["pair_ratio_q1_q3"] == pytest.approx([0.975, 1.225])
+    zero = bench_pairs.summarize(pairs_of("run_s", [0.0], [1.0]), SPECS)["run_s"]
+    assert zero["pair_ratio_median"] is None and zero["pair_ratio_q1_q3"] is None
+
+
 def test_metrics_without_a_bound_or_a_direction_get_no_verdict():
     summary = bench_pairs.summarize(
         pairs_of("env.step_s", [1.0, 1.0], [5.0, 5.0]) + pairs_of("unlisted", [1.0, 1.0], [2.0, 2.0]), SPECS
@@ -80,6 +96,7 @@ def test_summary_reports_each_checkouts_src_line_count(tmp_path, monkeypatch, ca
     out = capsys.readouterr().out.splitlines()
     assert "src/uedmaze/*.py lines: parent 3, change 1" in out
     assert json.loads(out[-1])["src_lines"] == {"parent": 3, "change": 1}
+    assert "pair ratio [q1, q3]" in out[2] and "1 [1, 1]" in out[3]  # the run_s row
 
 
 def test_several_workloads_run_in_turn_each_with_its_table_and_summary(tmp_path, monkeypatch, capsys):

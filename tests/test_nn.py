@@ -289,7 +289,7 @@ def test_one_rollout_builds_each_layer_view_once(weights_calls):
     policy = PolicyNetwork(PolicyArch())
     params = policy.init_params(np.random.default_rng(0))
     level = generate_random_level(7, 7, 4, np.random.default_rng(1))
-    collect_rollout(policy, params, [level] * 3, 40, 20, np.random.default_rng(2))  # 18 forwards, not 41
+    collect_rollout(policy, params, [level] * 3, 40, 20, np.random.default_rng(2))  # 10 forwards, not 41
     layers = [(name, i) for name, specs in policy.net.chains.items() for i in range(len(specs))]
     assert sorted(weights_calls) == sorted(layers)
 

@@ -11,12 +11,16 @@ mattered at 3, 5, 6 and 7 rows and not at 1, 2, 4, 8 or 16. So an action
 could only differ for a uniform within about 1e-16 of a cumulative
 probability.
 
-collect_rollout keeps each env's outputs per state and runs an n-row forward
-only when some env reaches a state new to it. A row's bits depend on nothing
-but the row count, its position (the env index) and its contents (the
-state), so its reference, the earlier loop with one forward per step, must
-match it exactly: every field of every trajectory, their order, and the
-generator's state afterwards.
+collect_rollout draws every uniform up front, lets each env run ahead on
+the outputs it kept per state until it reaches a state new to it, and then
+runs one n-row forward for every stalled env at once. A row's bits depend on
+nothing but the row count, its position (the env index) and its contents
+(the state), so its reference, the earlier loop with one forward per step on
+every env's observation, must match it exactly: every field of every
+trajectory, their order, and the generator's state afterwards, on distinct
+levels and on the one level the design loop gives every env. The number of
+forwards is exact too: the most states any one env needs outputs for, the
+states it acts from and a horizon-cut episode's final state.
 """
 
 from dataclasses import fields
@@ -162,6 +166,13 @@ def ref_collect_rollout(policy, params, levels, horizon, max_episode_steps, rng)
     return [traj for per_env in done_trajs for traj in per_env]
 
 
+def rollout_levels(size, blocks, num_workers, shared, seed):
+    """One level for every env, as the design loop passes it, or a level of its own for each."""
+    if shared:
+        return [make_level(size, blocks, seed)] * num_workers
+    return [make_level(size, blocks, seed + i) for i in range(num_workers)]
+
+
 def assert_same_trajectory(traj, ref, k):
     for f in fields(Trajectory):
         got, want = getattr(traj, f.name), getattr(ref, f.name)
@@ -177,14 +188,15 @@ def assert_same_trajectory(traj, ref, k):
     size=st.sampled_from([5, 7, 11]),
     blocks=st.integers(0, 12),
     num_workers=st.one_of(st.sampled_from([6, 16]), st.integers(1, 17)),
+    shared=st.booleans(),
     horizon=st.integers(1, 60),
     max_episode_steps=st.integers(1, 20),
     seed=st.integers(0, 2**16),
     scale=st.sampled_from([0.0, 0.1, 0.5, 1.5]),
 )
-def test_collect_rollout_matches_the_per_step_reference(size, blocks, num_workers, horizon, max_episode_steps, seed,
-                                                       scale):
-    levels = [make_level(size, blocks, seed + i) for i in range(num_workers)]  # one level per env
+def test_collect_rollout_matches_the_per_step_reference(size, blocks, num_workers, shared, horizon, max_episode_steps,
+                                                       seed, scale):
+    levels = rollout_levels(size, blocks, num_workers, shared, seed)
     params = noisy_params(seed, scale)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     trajs = collect_rollout(POLICY, params, levels, horizon, max_episode_steps, rng)
@@ -195,20 +207,50 @@ def test_collect_rollout_matches_the_per_step_reference(size, blocks, num_worker
     assert rng.bit_generator.state == ref_rng.bit_generator.state  # one uniform per env per step
 
 
-def test_collect_rollout_forwards_only_on_steps_that_reach_a_new_state(monkeypatch):
+@settings(max_examples=30, deadline=None, database=None)
+@given(
+    size=st.sampled_from([5, 7, 11]),
+    blocks=st.integers(0, 12),
+    num_workers=st.sampled_from([1, 3, 6, 16]),
+    shared=st.booleans(),
+    horizon=st.integers(1, 130),
+    max_episode_steps=st.integers(1, 40),
+    seed=st.integers(0, 2**16),
+    scale=st.sampled_from([0.0, 0.5, 1.5]),
+)
+def test_collect_rollout_forwards_once_per_state_the_busiest_env_needs(size, blocks, num_workers, shared, horizon,
+                                                                        max_episode_steps, seed, scale):
     calls = []
-    original = PolicyNetwork.forward
+    needed = {}  # per env: the states it acts from, and its final state if the horizon cuts its episode
+    running = {}  # per env: whether its current episode has taken a step
+    forward, step, reset = PolicyNetwork.forward, MazeEnv.step, MazeEnv.reset
 
-    def counted(self, theta, obs):
+    def counted_forward(self, theta, obs):
         calls.append(len(obs))
-        return original(self, theta, obs)
+        return forward(self, theta, obs)
 
-    monkeypatch.setattr(PolicyNetwork, "forward", counted)
-    level = make_level(5, 0, 3)  # a walled-in 3x3 floor: at most 36 (cell, facing) states per env
-    n, horizon = 3, 128
-    collect_rollout(POLICY, noisy_params(3, 0.5), [level] * n, horizon, 30, np.random.default_rng(4))
-    assert 0 < len(calls) <= n * 36 < horizon + 1
-    assert calls == [n] * len(calls)
+    def recorded_step(self, action):
+        needed.setdefault(self, set()).add(self.state_index)
+        running[self] = True
+        return step(self, action)
+
+    def recorded_reset(self):
+        running[self] = False
+        return reset(self)
+
+    levels = rollout_levels(size, blocks, num_workers, shared, seed)
+    params, rng = noisy_params(seed, scale), np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(PolicyNetwork, "forward", counted_forward)
+        patch.setattr(MazeEnv, "step", recorded_step)
+        patch.setattr(MazeEnv, "reset", recorded_reset)
+        collect_rollout(POLICY, params, levels, horizon, max_episode_steps, rng)
+    for env, cut in running.items():
+        if cut:
+            needed[env].add(env.state_index)
+    assert len(needed) == num_workers
+    assert len(calls) == max(map(len, needed.values()))
+    assert calls == [num_workers] * len(calls)
 
 
 def test_collect_rollout_needs_a_level():

@@ -9,11 +9,14 @@ bench/run.py once per seed, never two runs at once, and alternates which
 side goes first: the parent in even pairs, the change in odd ones. Each
 run's JSON line is appended to --out as
 {"side", "workload", "seed", "trace", "result"}. Then it prints, for every
-metric, each side's median and quartiles, the change's wins (ties count for
-neither side) and whether a gain claim would hold: the change wins at least
-nine tenths of the pairs and its median beats the parent's by more than the
-parent's interquartile range. Each metric with a bound (the end-to-end
-ones) also gets a no-regression verdict:
+metric, each side's median and quartiles, the median and quartiles of the
+per-pair ratios change/parent (pairs whose parent reads 0 left out), the
+change's wins (ties count for neither side) and whether a gain claim would
+hold: the change wins at least nine tenths of the pairs and its median beats
+the parent's by more than the parent's interquartile range. On a shared
+machine both sides drift together from pair to pair, so the per-pair ratios
+spread far less than either side's runs. Each metric with a bound (the
+end-to-end ones) also gets a no-regression verdict:
 
     worse       the change's median is worse than the parent's by more than
                 the bound, a fraction of the parent's median;
@@ -106,6 +109,7 @@ def summarize(pairs, specs):
         change = [c for _, c in both]
         parent_median, change_median = statistics.median(parent), statistics.median(change)
         parent_iqr = quartiles(parent)[1] - quartiles(parent)[0]
+        ratios = [c / p for p, c in both if p]
         entry = {
             "parent_median": parent_median,
             "change_median": change_median,
@@ -113,6 +117,8 @@ def summarize(pairs, specs):
             "parent_q1_q3": quartiles(parent),
             "change_q1_q3": quartiles(change),
             "parent_iqr": parent_iqr,
+            "pair_ratio_median": statistics.median(ratios) if ratios else None,
+            "pair_ratio_q1_q3": quartiles(ratios) if ratios else None,
         }
         spec = specs.get(name, {})
         direction = spec.get("better")
@@ -150,12 +156,15 @@ def compare(args, workload):
     lines = {side: src_lines(getattr(args, side)) for side in ("parent", "change")}
     print(f"{workload}: {len(pairs)} pairs, seeds {args.seeds}")
     print(f"src/uedmaze/*.py lines: parent {lines['parent']}, change {lines['change']}")
-    print(f"{'metric':<28}{'parent median [q1, q3]':>36}{'change median [q1, q3]':>36}{'wins':>7}  gain   verdict")
+    print(f"{'metric':<28}{'parent median [q1, q3]':>36}{'change median [q1, q3]':>36}"
+          f"{'pair ratio [q1, q3]':>28}{'wins':>7}  gain   verdict")
     for name, s in summary.items():
         p = f"{s['parent_median']:.6g} [{s['parent_q1_q3'][0]:.6g}, {s['parent_q1_q3'][1]:.6g}]"
         c = f"{s['change_median']:.6g} [{s['change_q1_q3'][0]:.6g}, {s['change_q1_q3'][1]:.6g}]"
+        r = "-" if s["pair_ratio_median"] is None else (
+            f"{s['pair_ratio_median']:.4g} [{s['pair_ratio_q1_q3'][0]:.4g}, {s['pair_ratio_q1_q3'][1]:.4g}]")
         gain = str(s.get("gain_holds", "-"))
-        print(f"{name:<28}{p:>36}{c:>36}{s.get('change_wins', '-'):>7}  {gain:<6} {s.get('verdict', '-')}")
+        print(f"{name:<28}{p:>36}{c:>36}{r:>28}{s.get('change_wins', '-'):>7}  {gain:<6} {s.get('verdict', '-')}")
     print(json.dumps({"workload": workload, "trace": args.trace, "pairs": len(pairs), "seeds": args.seeds,
                       "all_correct": not failed, "src_lines": lines, "metrics": summary}), flush=True)
     return not failed
